@@ -12,7 +12,7 @@ from itertools import combinations
 
 from . import linalg, rng
 from .errors import FieldMismatchError, ShapeError
-from .field import Field, PrimeField, Rationals, Scalar
+from .field import Field, PrimeField, Scalar
 
 Vector = tuple
 
@@ -124,6 +124,8 @@ class LinearMap:
     __slots__ = ("dim", "field", "columns")
 
     def __init__(self, dim: int, field: Field, columns):
+        if not _is_index(dim):
+            raise ShapeError(f"dimension must be an integer, got {dim!r}")
         columns = tuple(tuple(col) for col in columns)
         if len(columns) != dim or any(len(col) != dim for col in columns):
             raise ShapeError(f"need {dim} columns of length {dim}")
@@ -228,17 +230,22 @@ def _check_compatible(algebra: SkewAlgebra, f: LinearMap):
         raise FieldMismatchError(f"field mismatch: {algebra.field!r} vs {f.field!r}")
 
 
+def _is_index(x) -> bool:
+    # bool is an int subclass, but JSON true is not a dimension or an index
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def make_algebra(dim: int, field: Field, products) -> SkewAlgebra:
     """Validate and build an algebra from (i, j, coefficient-vector) triples.
 
     Unlisted pairs multiply to zero. Pairs must satisfy i < j and appear
     at most once; coefficient vectors must have length dim.
     """
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_index(dim) or dim < 1:
         raise ValueError(f"dimension must be a positive integer, got {dim!r}")
     constants = {}
     for i, j, coeffs in products:
-        if not (isinstance(i, int) and isinstance(j, int)) or not (1 <= i <= dim and 1 <= j <= dim):
+        if not (_is_index(i) and _is_index(j)) or not (1 <= i <= dim and 1 <= j <= dim):
             raise ValueError(f"pair ({i!r}, {j!r}) out of range 1..{dim}")
         if i >= j:
             raise ValueError(f"pair ({i}, {j}) must be ordered i < j")
@@ -253,54 +260,43 @@ def make_algebra(dim: int, field: Field, products) -> SkewAlgebra:
     return SkewAlgebra(dim, field, constants)
 
 
+def _scalar_draw(field: Field, bound: int):
+    """draw(stream) -> one random scalar: a uniform residue over a prime
+    field, a uniform integer in [-bound, bound] over the rationals."""
+    if isinstance(field, PrimeField):
+        return lambda s: s.below(field.p)
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    return lambda s: field.element(s.randint(-bound, bound))
+
+
 def random_algebra(dim: int, field: Field, seed: int, bound: int = 10) -> SkewAlgebra:
     """Seeded random algebra; a pure function of (dim, field, seed, bound).
 
-    Each structure-constant slot draws from its own (seed, slot) stream:
-    uniform residues over a prime field, uniform integers in
-    [-bound, bound] over the rationals.
+    Each structure-constant slot draws one scalar from its own (seed, slot)
+    stream.
     """
-    if isinstance(field, Rationals) and bound < 1:
-        raise ValueError("bound must be >= 1")
+    draw = _scalar_draw(field, bound)
     products = []
     pairs = list(combinations(range(1, dim + 1), 2))
     for pair_rank, (i, j) in enumerate(pairs):
-        coeffs = []
-        for k in range(dim):
-            s = rng.stream(seed, pair_rank * dim + k)
-            if isinstance(field, PrimeField):
-                coeffs.append(s.below(field.p))
-            else:
-                coeffs.append(field.element(s.randint(-bound, bound)))
+        coeffs = [draw(rng.stream(seed, pair_rank * dim + k)) for k in range(dim)]
         products.append((i, j, coeffs))
     return make_algebra(dim, field, products)
 
 
 def random_linear_map(dim: int, field: Field, seed: int, bound: int = 10) -> LinearMap:
     """Seeded random endomorphism, same slot discipline as random_algebra."""
-    cols = []
-    for q in range(dim):
-        col = []
-        for p in range(dim):
-            s = rng.stream(seed, q * dim + p)
-            if isinstance(field, PrimeField):
-                col.append(s.below(field.p))
-            else:
-                col.append(field.element(s.randint(-bound, bound)))
-        cols.append(col)
+    draw = _scalar_draw(field, bound)
+    cols = [[draw(rng.stream(seed, q * dim + p)) for p in range(dim)] for q in range(dim)]
     return LinearMap(dim, field, cols)
 
 
 def random_invertible_map(dim: int, field: Field, seed: int, bound: int = 10) -> LinearMap:
     """Rejection-sample an invertible endomorphism from one (seed) stream."""
+    draw = _scalar_draw(field, bound)
     s = rng.stream(seed, 0)
     while True:
-        cols = []
-        for _ in range(dim):
-            if isinstance(field, PrimeField):
-                cols.append([s.below(field.p) for _ in range(dim)])
-            else:
-                cols.append([field.element(s.randint(-bound, bound)) for _ in range(dim)])
-        g = LinearMap(dim, field, cols)
+        g = LinearMap(dim, field, [[draw(s) for _ in range(dim)] for _ in range(dim)])
         if linalg.rank(field, g.rows()) == dim:
             return g

@@ -2,8 +2,9 @@
 
 Scalars are plain values: `Fraction` (always in lowest terms, positive
 denominator) for the rationals, `int` residues in [0, p) for a prime field.
-A `Field` object carries the field description and performs all arithmetic,
-so structures built over different fields can be told apart.
+A `Field` object carries the field description and the scalar arithmetic,
+so structures built over different fields can be told apart; `linalg`
+checks scalars against it once per call and then computes on plain values.
 """
 
 from __future__ import annotations
@@ -113,11 +114,6 @@ class Rationals(Field):
         self._check(b)
         return a + b
 
-    def sub(self, a, b):
-        self._check(a)
-        self._check(b)
-        return a - b
-
     def neg(self, a):
         self._check(a)
         return -a
@@ -132,13 +128,6 @@ class Rationals(Field):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return 1 / Fraction(a)
-
-    def div(self, a, b):
-        self._check(a)
-        self._check(b)
-        if b == 0:
-            raise ZeroDivisionError("division by zero")
-        return Fraction(a) / b
 
 
 class PrimeField(Field):
@@ -182,11 +171,6 @@ class PrimeField(Field):
         self._check(b)
         return (a + b) % self.p
 
-    def sub(self, a, b):
-        self._check(a)
-        self._check(b)
-        return (a - b) % self.p
-
     def neg(self, a):
         self._check(a)
         return -a % self.p
@@ -201,9 +185,6 @@ class PrimeField(Field):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
 
 QQ = Rationals()

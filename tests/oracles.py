@@ -1,8 +1,8 @@
 """Independent oracles used to cross-check the library's main code paths.
 
 Nothing here shares algorithms with src/homlie: the determinant oracle is
-Laplace expansion (memoized on column subsets), naive integer row
-reduction backs the small rank checks, and defects are recomputed from
+Laplace expansion (memoized on column subsets), naive fraction and mod-p
+row reduction back the rank checks, and defects are recomputed from
 first principles where needed.
 """
 
@@ -81,3 +81,31 @@ def rank_fraction(rows) -> int:
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         r += 1
     return r
+
+
+def rank_det_modp(rows, p: int) -> tuple[int, int]:
+    """Rank and determinant mod p by plain row reduction.
+
+    Pivot rows are never rescaled; the multiplier uses a Fermat inverse.
+    The determinant is 0 unless the matrix is square of full rank.
+    """
+    m = [[int(x) % p for x in row] for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    r = 0
+    d = 1
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            d = -d
+        d = d * m[r][c] % p
+        inv = pow(m[r][c], p - 2, p)
+        for i in range(r + 1, nrows):
+            if m[i][c]:
+                f = m[i][c] * inv % p
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
+        r += 1
+    return r, (d % p if r == nrows == ncols else 0)

@@ -168,6 +168,14 @@ def test_random_algebra_respects_bound(qq):
             assert x.denominator == 1 and -3 <= x <= 3
 
 
+def test_rational_draws_reject_empty_bound(qq, fp):
+    # bound 0 would draw only zero maps, and rejection sampling would never stop
+    for draw in (random_algebra, random_linear_map, random_invertible_map):
+        with pytest.raises(ValueError):
+            draw(3, qq, 1, bound=0)
+    assert random_invertible_map(3, fp, 1, bound=0).dim == 3
+
+
 def test_random_algebra_fills_prime_residues(fp):
     A = random_algebra(4, fp, seed=43)
     assert all(0 <= x < fp.p for vec in A.constants.values() for x in vec)

@@ -126,6 +126,27 @@ def test_verify_rejects_shape_mismatch(capsys, fixtures_dir, tmp_path):
     assert "mismatch" in err
 
 
+@pytest.mark.parametrize("algebra, map_obj, needle", [
+    ('{"dim": true, "field": {"kind": "rational"}, "products": []}', None, "True"),
+    ('{"dim": 3, "field": {"kind": "rational"}, '
+     '"products": [{"left": true, "right": 2, "coeffs": ["0", "0", "1"]}]}', None, "True"),
+    ('{"dim": 1, "field": {"kind": "rational"}, "products": []}',
+     '{"dim": true, "field": {"kind": "rational"}, "columns": [["1"]]}', "True"),
+], ids=["algebra-dim", "product-left", "map-dim"])
+def test_json_booleans_are_not_integers(capsys, tmp_path, algebra, map_obj, needle):
+    apath = tmp_path / "bool_algebra.json"
+    apath.write_text(algebra, encoding="utf-8")
+    if map_obj is None:
+        argv, culprit = ("check", str(apath)), apath
+    else:
+        culprit = tmp_path / "bool_map.json"
+        culprit.write_text(map_obj, encoding="utf-8")
+        argv = ("verify", str(apath), str(culprit))
+    status, out, err = run(capsys, *argv)
+    assert status == 1 and out == ""
+    assert str(culprit) in err and needle in err
+
+
 def test_restrict_bidiag_rank7(capsys, fixtures_dir):
     status, out, _ = run(capsys, "restrict", fixture(fixtures_dir, "nonhomlie4"),
                          "--support", "bidiag")

@@ -2,11 +2,23 @@ from fractions import Fraction
 
 import pytest
 
-from homlie import PrimeField, ShapeError, SingularMatrixError, rng
+from homlie import (
+    FieldMismatchError,
+    PrimeField,
+    ShapeError,
+    SingularMatrixError,
+    build_matrix,
+    catalog,
+    make_algebra,
+    random_algebra,
+    random_invertible_map,
+    reduce_mod,
+    rng,
+)
 from homlie.field import QQ
 from homlie import linalg
 
-from oracles import det_cofactor_modp, det_naive, rank_fraction
+from oracles import det_cofactor_modp, det_naive, rank_det_modp, rank_fraction
 
 
 def _random_int_matrix(s, nrows, ncols, bound=9):
@@ -117,3 +129,89 @@ def test_inverse_round_trip():
 def test_inverse_of_singular_raises():
     with pytest.raises(SingularMatrixError):
         linalg.inverse(QQ, [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
+
+
+def test_known_leaks_are_rejected():
+    with pytest.raises(FieldMismatchError):
+        linalg.det(QQ, [[0.1]])
+    with pytest.raises(FieldMismatchError):
+        linalg.rref(QQ, [[1, 0.5]])
+    with pytest.raises(FieldMismatchError):
+        linalg.det(PrimeField(7), [[Fraction(1, 2)]])
+
+
+@pytest.mark.parametrize("field, bad", [
+    (QQ, 0.5),
+    (QQ, True),
+    (PrimeField(7), Fraction(1, 2)),
+    (PrimeField(7), 3.0),
+], ids=["rational-float", "rational-bool", "prime-fraction", "prime-float"])
+def test_every_entry_point_checks_its_scalars(field, bad):
+    one, zero = field.one, field.zero
+    mat = [[one, zero], [bad, one]]
+    calls = [
+        lambda: linalg.rank(field, mat),
+        lambda: linalg.rref(field, mat),
+        lambda: linalg.nullspace(field, mat, 2),
+        lambda: linalg.det(field, mat),
+        lambda: linalg.inverse(field, mat),
+        lambda: linalg.mat_vec(field, mat, [one, one]),
+        lambda: linalg.mat_vec(field, [[one, one]], [one, bad]),
+    ]
+    for call in calls:
+        with pytest.raises(FieldMismatchError):
+            call()
+
+
+def test_rational_int_matrices_stay_exact():
+    rows = [[2, 3, 1], [4, 5, 7]]
+    red, pivots = linalg.rref(QQ, rows)
+    assert pivots == [0, 1]
+    assert red == [[1, 0, 8], [0, 1, -5]]
+    basis = linalg.nullspace(QQ, rows, 3)
+    assert basis == [[-8, 5, 1]]
+    inv = linalg.inverse(QQ, [[2, 3], [4, 5]])
+    assert inv == [[Fraction(-5, 2), Fraction(3, 2)], [2, -1]]
+    for x in (x for m in (red, basis, inv) for row in m for x in row):
+        assert type(x) in (int, Fraction)
+
+
+FP = PrimeField(10007)
+
+
+def _fp_hom_jacobi_inputs():
+    """Seeded F_10007 Hom-Jacobi matrices for n = 3..6, full and deficient."""
+    out = []
+    for n in range(3, 7):
+        for t in range(3):
+            out.append(build_matrix(random_algebra(n, FP, rng.split(500 + n, t))))
+    for t, named in enumerate(catalog()):
+        A = named.algebra
+        products = [(i, j, [reduce_mod(x, FP.p) for x in vec]) for (i, j), vec in A.constants.items()]
+        reduced = make_algebra(A.dim, FP, products)
+        out.append(build_matrix(reduced))
+        out.append(build_matrix(reduced.transport(random_invertible_map(A.dim, FP, 600 + t))))
+    return out
+
+
+def test_prime_field_elimination_matches_modp_oracle():
+    matrices = _fp_hom_jacobi_inputs()
+    full_rank = set()
+    for k, M in enumerate(matrices):
+        r, d = rank_det_modp(M.rows, FP.p)
+        assert linalg.rank(FP, M.rows) == r
+        full_rank.add(r == M.ncols)
+        if M.dim == 4:
+            assert linalg.det(FP, M.rows) == d
+        basis = linalg.nullspace(FP, M.rows, M.ncols)
+        assert len(basis) == M.ncols - r
+        for v in basis:
+            assert all(x == 0 for x in linalg.mat_vec(FP, M.rows, v))
+        stream = rng.stream(700, k)
+        order = list(range(M.nrows))
+        for i in range(len(order) - 1, 0, -1):
+            j = stream.below(i + 1)
+            order[i], order[j] = order[j], order[i]
+        permuted = [M.rows[i] for i in order]
+        assert linalg.rref(FP, permuted) == linalg.rref(FP, M.rows)
+    assert full_rank == {True, False}
