@@ -22,6 +22,7 @@ from .lab import (
     NamedAlgebra,
     SampleReport,
     catalog,
+    generic_reduced_rank,
     genericity_experiment,
     invariance_battery,
 )
@@ -33,7 +34,6 @@ from .system import (
     build_matrix,
     determinant,
     diagonal_support,
-    generic_reduced_rank,
     hom_jacobi_defect,
     is_hom_lie,
     is_in_kernel,

@@ -12,7 +12,7 @@ from itertools import combinations
 
 from . import linalg, rng
 from .errors import FieldMismatchError, ShapeError
-from .field import Field, PrimeField, Scalar
+from .field import Field, Scalar
 
 Vector = tuple
 
@@ -59,39 +59,31 @@ class SkewAlgebra:
         v = self.constants.get((j, i))
         if v is None:
             return self.zero_vector()
-        neg = self.field.neg
-        return tuple(neg(x) for x in v)
+        return self.field.vector(-x for x in v)
 
     def multiply(self, x: Vector, y: Vector) -> Vector:
-        """Bilinear product of two coordinate vectors."""
+        """Bilinear product of two coordinate vectors: the sum of
+        (x_i y_j - x_j y_i) mu(e_i, e_j) over the stored pairs i < j."""
         n = self.dim
         if len(x) != n or len(y) != n:
             raise ShapeError(f"vectors must have length {n}")
         f = self.field
-        zero = f.zero
-        out = [zero] * n
-        for i in range(n):
-            xi = x[i]
-            if xi == zero:
-                continue
-            for j in range(n):
-                yj = y[j]
-                if yj == zero or i == j:
-                    continue
-                c = self.structure_vector(i + 1, j + 1)
-                coef = f.mul(xi, yj)
-                for k in range(n):
-                    if c[k] != zero:
-                        out[k] = f.add(out[k], f.mul(coef, c[k]))
-        return tuple(out)
+        f.check((x, y))
+        out = [f.zero] * n
+        for (i, j), c in self.constants.items():
+            coef = x[i - 1] * y[j - 1] - x[j - 1] * y[i - 1]
+            if coef:
+                for k, ck in enumerate(c):
+                    if ck:
+                        out[k] += coef * ck
+        return f.vector(out)
 
     def jacobiator(self, x: Vector, y: Vector, z: Vector) -> Vector:
         """mu(mu(x,y),z) + mu(mu(y,z),x) + mu(mu(z,x),y)."""
-        f = self.field
         a = self.multiply(self.multiply(x, y), z)
         b = self.multiply(self.multiply(y, z), x)
         c = self.multiply(self.multiply(z, x), y)
-        return tuple(f.add(f.add(a[k], b[k]), c[k]) for k in range(self.dim))
+        return self.field.vector(map(sum, zip(a, b, c)))
 
     def is_lie(self) -> bool:
         """True iff the Jacobiator vanishes on all basis triples i < j < k."""
@@ -129,6 +121,7 @@ class LinearMap:
         columns = tuple(tuple(col) for col in columns)
         if len(columns) != dim or any(len(col) != dim for col in columns):
             raise ShapeError(f"need {dim} columns of length {dim}")
+        field.check(columns)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "columns", columns)
@@ -190,16 +183,14 @@ class LinearMap:
         if len(v) != self.dim:
             raise ShapeError(f"vector must have length {self.dim}")
         f = self.field
-        zero = f.zero
-        out = [zero] * self.dim
-        for q, vq in enumerate(v):
-            if vq == zero:
-                continue
-            col = self.columns[q]
-            for p in range(self.dim):
-                if col[p] != zero:
-                    out[p] = f.add(out[p], f.mul(col[p], vq))
-        return tuple(out)
+        f.check((v,))
+        out = [f.zero] * self.dim
+        for vq, col in zip(v, self.columns):
+            if vq:
+                for p, a in enumerate(col):
+                    if a:
+                        out[p] += a * vq
+        return f.vector(out)
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self after other."""
@@ -263,7 +254,7 @@ def make_algebra(dim: int, field: Field, products) -> SkewAlgebra:
 def _scalar_draw(field: Field, bound: int):
     """draw(stream) -> one random scalar: a uniform residue over a prime
     field, a uniform integer in [-bound, bound] over the rationals."""
-    if isinstance(field, PrimeField):
+    if field.p:
         return lambda s: s.below(field.p)
     if bound < 1:
         raise ValueError("bound must be >= 1")

@@ -1,10 +1,11 @@
-"""Exact scalar arithmetic over the rationals and over prime fields.
+"""The two kinds of exact scalar field: the rationals and prime fields.
 
 Scalars are plain values: `Fraction` (always in lowest terms, positive
 denominator) for the rationals, `int` residues in [0, p) for a prime field.
-A `Field` object carries the field description and the scalar arithmetic,
-so structures built over different fields can be told apart; `linalg`
-checks scalars against it once per call and then computes on plain values.
+A `Field` object describes, parses, formats and checks scalars, so
+structures built over different fields can be told apart. It does no
+arithmetic: callers check their scalars once on entry (`check`), compute
+on plain values and reduce each result vector once (`vector`).
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ from .errors import FieldMismatchError, ReductionError
 
 Scalar = Union[int, Fraction]
 
-_LITERAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+# ASCII digits only: `\d` would also match other scripts' digits
+_LITERAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
+_RESIDUE_RE = re.compile(r"^[+-]?[0-9]+$")
 
 # Deterministic Miller-Rabin witness set, valid for every n < 3.3 * 10^24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -56,6 +59,8 @@ class Field:
     """Common interface; use the `Rationals` and `PrimeField` subclasses."""
 
     kind: str
+    p: int  # the characteristic: 0 for Q
+    _types: frozenset  # the Python types of this field's scalars
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.to_obj() == other.to_obj()
@@ -72,11 +77,27 @@ class Field:
     def format(self, a: Scalar) -> str:
         return str(a)
 
+    def check(self, rows) -> None:
+        """Raise FieldMismatchError unless every entry of every row is a
+        scalar of this field: an `int` (or `Fraction` over Q), never a
+        float or a bool."""
+        allowed = self._types
+        for row in rows:
+            if not allowed.issuperset(map(type, row)):
+                bad = next(x for x in row if type(x) not in allowed)
+                raise FieldMismatchError(f"not a scalar of {self!r}: {bad!r}")
+
+    def vector(self, values) -> tuple:
+        """The canonical tuple of plain values computed over this field."""
+        raise NotImplementedError
+
 
 class Rationals(Field):
     """Arbitrary-precision rational numbers, eagerly normalized."""
 
     kind = "rational"
+    p = 0
+    _types = frozenset((int, Fraction))
     zero = Fraction(0)
     one = Fraction(1)
 
@@ -104,36 +125,15 @@ class Rationals(Field):
             raise ValueError(f"zero denominator in literal: {text!r}")
         return Fraction(text.strip())
 
-    @staticmethod
-    def _check(a):
-        if type(a) is not Fraction and type(a) is not int:
-            raise FieldMismatchError(f"not a rational scalar: {a!r}")
-
-    def add(self, a, b):
-        self._check(a)
-        self._check(b)
-        return a + b
-
-    def neg(self, a):
-        self._check(a)
-        return -a
-
-    def mul(self, a, b):
-        self._check(a)
-        self._check(b)
-        return a * b
-
-    def inv(self, a):
-        self._check(a)
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
+    def vector(self, values) -> tuple:
+        return tuple(values)
 
 
 class PrimeField(Field):
     """Integers mod p for a verified machine-word prime p."""
 
     kind = "prime"
+    _types = frozenset((int,))
 
     def __init__(self, p: int):
         if not isinstance(p, int) or isinstance(p, bool):
@@ -158,33 +158,13 @@ class PrimeField(Field):
         return value % self.p
 
     def parse(self, text: str) -> int:
-        if not isinstance(text, str) or not re.match(r"^[+-]?\d+$", text.strip()):
+        if not isinstance(text, str) or not _RESIDUE_RE.match(text.strip()):
             raise ValueError(f"bad mod-{self.p} literal: {text!r}")
         return int(text) % self.p
 
-    def _check(self, a):
-        if type(a) is not int:
-            raise FieldMismatchError(f"not a mod-{self.p} scalar: {a!r}")
-
-    def add(self, a, b):
-        self._check(a)
-        self._check(b)
-        return (a + b) % self.p
-
-    def neg(self, a):
-        self._check(a)
-        return -a % self.p
-
-    def mul(self, a, b):
-        self._check(a)
-        self._check(b)
-        return a * b % self.p
-
-    def inv(self, a):
-        self._check(a)
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, -1, self.p)
+    def vector(self, values) -> tuple:
+        p = self.p
+        return tuple(x % p for x in values)
 
 
 QQ = Rationals()

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field as dc_field
 from . import rng
 from .algebra import SkewAlgebra, make_algebra, random_algebra, random_invertible_map
 from .field import QQ, Field, PrimeField
-from .system import build_matrix, is_in_kernel, kernel_basis, rank as matrix_rank
+from .system import (bidiagonal_support, build_matrix, is_in_kernel, kernel_basis,
+                     rank as matrix_rank, restrict_columns)
 
 DEFAULT_PRIME = 10007
 DEFAULT_BOUND = 10
@@ -67,6 +68,18 @@ def genericity_experiment(dim: int, trials: int, field: Field, seed: int,
             full += 1
     return SampleReport(dim, field, trials, seed, hist, full,
                         time.perf_counter() - start)
+
+
+def generic_reduced_rank(count: int, fld: Field, seed: int, bound: int = DEFAULT_BOUND) -> dict:
+    """Rank histogram of the bidiagonal restricted system on random
+    4-dimensional algebras; deterministic per seed."""
+    support = bidiagonal_support(4)
+    hist: dict[int, int] = {}
+    for t in range(count):
+        A = random_algebra(4, fld, rng.split(seed, t), bound)
+        r = restrict_columns(build_matrix(A), support).rank()
+        hist[r] = hist.get(r, 0) + 1
+    return hist
 
 
 def invariance_battery(A: SkewAlgebra, trials: int, seed: int,

@@ -14,19 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm, prod
 
-from .errors import FieldMismatchError, ShapeError, SingularMatrixError
-from .field import Field, PrimeField, Scalar
-
-
-def _modulus(field: Field, mat: list) -> int:
-    """Check every scalar of mat once; return p over F_p and 0 over Q."""
-    prime = isinstance(field, PrimeField)
-    allowed = {int} if prime else {int, Fraction}
-    for row in mat:
-        if not allowed.issuperset(map(type, row)):
-            bad = next(x for x in row if type(x) not in allowed)
-            raise FieldMismatchError(f"not a scalar of {field!r}: {bad!r}")
-    return field.p if prime else 0
+from .errors import ShapeError, SingularMatrixError
+from .field import Field, Scalar
 
 
 def _plain(field: Field, mat: list) -> tuple[int, list]:
@@ -35,7 +24,8 @@ def _plain(field: Field, mat: list) -> tuple[int, list]:
     Over Q every `int` becomes a `Fraction`, so no later division is
     int / int.
     """
-    p = _modulus(field, mat)
+    field.check(mat)
+    p = field.p
     if p:
         return p, [[x % p for x in row] for row in mat]
     return 0, [[x if type(x) is Fraction else Fraction(x) for x in row] for row in mat]
@@ -110,7 +100,7 @@ def nullspace(field: Field, mat: list, ncols: int) -> list[list]:
     """
     red, pivots = rref(field, mat)
     pivot_set = set(pivots)
-    p = field.p if isinstance(field, PrimeField) else 0
+    p = field.p
     basis = []
     for free in range(ncols):
         if free in pivot_set:
@@ -128,30 +118,14 @@ def identity(field: Field, n: int) -> list:
 
 
 def mat_vec(field: Field, mat: list, v: list) -> list:
-    p = _modulus(field, [*mat, v])
+    field.check([*mat, v])
+    p = field.p
     zero = field.zero
     nz = [(j, x) for j, x in enumerate(v) if x]
     out = []
     for row in mat:
         acc = sum((row[j] * x for j, x in nz if row[j]), zero)
         out.append(acc % p if p else acc)
-    return out
-
-
-def mat_mul(field: Field, a: list, b: list) -> list:
-    n, k = len(a), len(b)
-    m = len(b[0]) if k else 0
-    out = [[field.zero] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for s in range(k):
-            f = ai[s]
-            if f == field.zero:
-                continue
-            bs = b[s]
-            for j in range(m):
-                oi[j] = field.add(oi[j], field.mul(f, bs[j]))
     return out
 
 

@@ -25,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 
-from . import linalg, rng
-from .algebra import LinearMap, SkewAlgebra, Vector, _check_compatible, random_algebra
+from . import linalg
+from .algebra import LinearMap, SkewAlgebra, Vector, _check_compatible
 from .errors import ShapeError
 from .field import Field, Scalar
 
@@ -65,9 +65,6 @@ class HomJacobiMatrix:
     def __repr__(self):
         return f"HomJacobiMatrix(dim={self.dim}, shape={self.nrows}x{self.ncols})"
 
-    def entry(self, r: int, c: int) -> Scalar:
-        return self.rows[r][c]
-
     def apply(self, flat) -> list:
         """M times a flattened endomorphism vector."""
         if len(flat) != self.ncols:
@@ -82,18 +79,13 @@ def product_block(A: SkewAlgebra, i: int, j: int, k: int) -> Vector:
     unordered index pairs.
     """
     f = A.field
-    zero = f.zero
-    cij = A.structure_vector(i, j)
-    out = [zero] * A.dim
-    for s in range(1, A.dim + 1):
-        cs = cij[s - 1]
-        if cs == zero or s == k:
-            continue
-        csk = A.structure_vector(s, k)
-        for l in range(A.dim):
-            if csk[l] != zero:
-                out[l] = f.add(out[l], f.mul(cs, csk[l]))
-    return tuple(out)
+    out = [f.zero] * A.dim
+    for s, cs in enumerate(A.structure_vector(i, j), 1):
+        if cs and s != k:
+            for l, x in enumerate(A.structure_vector(s, k)):
+                if x:
+                    out[l] += cs * x
+    return f.vector(out)
 
 
 def build_matrix(A: SkewAlgebra) -> HomJacobiMatrix:
@@ -126,15 +118,13 @@ def hom_jacobi_defect(A: SkewAlgebra, f: LinearMap) -> list:
     build_matrix; used as the oracle for the matrix route.
     """
     _check_compatible(A, f)
-    fld = A.field
     out = []
     for i, j, k in combinations(range(1, A.dim + 1), 3):
         ei, ej, ek = A.basis_vector(i), A.basis_vector(j), A.basis_vector(k)
         a = A.multiply(A.multiply(ei, ej), f.apply(ek))
         b = A.multiply(A.multiply(ej, ek), f.apply(ei))
         c = A.multiply(A.multiply(ek, ei), f.apply(ej))
-        vec = tuple(fld.add(fld.add(a[l], b[l]), c[l]) for l in range(A.dim))
-        out.append(((i, j, k), vec))
+        out.append(((i, j, k), A.field.vector(map(sum, zip(a, b, c)))))
     return out
 
 
@@ -263,15 +253,3 @@ def restrict_columns(M: HomJacobiMatrix, support) -> RestrictedSystem:
     cols = [(q - 1) * n + (p - 1) for p, q in ordered]
     rows = [[row[c] for c in cols] for row in M.rows]
     return RestrictedSystem(n, M.field, ordered, rows)
-
-
-def generic_reduced_rank(count: int, fld: Field, seed: int, bound: int = 10) -> dict:
-    """Rank histogram of the bidiagonal restricted system on random
-    4-dimensional algebras; deterministic per seed."""
-    support = bidiagonal_support(4)
-    hist: dict[int, int] = {}
-    for t in range(count):
-        A = random_algebra(4, fld, rng.split(seed, t), bound)
-        r = restrict_columns(build_matrix(A), support).rank()
-        hist[r] = hist.get(r, 0) + 1
-    return hist

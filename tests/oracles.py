@@ -2,8 +2,9 @@
 
 Nothing here shares algorithms with src/homlie: the determinant oracle is
 Laplace expansion (memoized on column subsets), naive fraction and mod-p
-row reduction back the rank checks, and defects are recomputed from
-first principles where needed.
+row reduction back the rank checks, the algebra product is the full
+double sum over basis pairs, and defects are recomputed from first
+principles where needed.
 """
 
 from fractions import Fraction
@@ -109,3 +110,32 @@ def rank_det_modp(rows, p: int) -> tuple[int, int]:
                 m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
         r += 1
     return r, (d % p if r == nrows == ncols else 0)
+
+
+def skew_product(constants, n: int, x, y, p: int = 0) -> list:
+    """mu(x, y) = sum over all i != j of x_i y_j mu(e_i, e_j).
+
+    constants maps (i, j), 1-based with i < j, to mu(e_i, e_j); the
+    missing half comes from mu(e_j, e_i) = -mu(e_i, e_j). Exact over Q
+    (p = 0, in `Fraction`s) or reduced mod p.
+    """
+    out = [Fraction(0)] * n
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i == j:
+                continue
+            if (i, j) in constants:
+                c, sign = constants[(i, j)], 1
+            elif (j, i) in constants:
+                c, sign = constants[(j, i)], -1
+            else:
+                continue
+            w = sign * Fraction(x[i - 1]) * Fraction(y[j - 1])
+            out = [o + w * ck for o, ck in zip(out, c)]
+    return [int(v) % p for v in out] if p else out
+
+
+def mat_vec(rows, v, p: int = 0) -> list:
+    """Plain matrix-vector product, exact over Q (p = 0) or mod p."""
+    out = [sum((Fraction(a) * Fraction(b) for a, b in zip(row, v)), Fraction(0)) for row in rows]
+    return [int(x) % p for x in out] if p else out

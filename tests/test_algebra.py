@@ -52,7 +52,7 @@ def test_multiply_is_skew_on_basis(named):
             assert A.multiply(ei, ei) == A.zero_vector()
             for j in range(1, A.dim + 1):
                 ej = A.basis_vector(j)
-                neg = tuple(A.field.neg(x) for x in A.multiply(ej, ei))
+                neg = A.field.vector(-x for x in A.multiply(ej, ei))
                 assert A.multiply(ei, ej) == neg
 
 
@@ -70,6 +70,36 @@ def test_multiply_is_bilinear_on_randoms(fp):
             for u, v in zip(A.multiply(x, y), A.multiply(xp, y))
         )
         assert left == right
+
+
+def test_scalars_are_checked_at_the_boundary(named, f7):
+    # every entry is checked, zero or not, and whether or not it meets a
+    # zero in the arithmetic
+    bad_maps = [
+        (3, QQ, [[0.0, 0, 0], [0, 1, 0], [0, 0, 1]]),
+        (3, QQ, [[1, 0, 0], [0, 0.5, 0], [0, 0, 1]]),
+        (2, f7, [[True, 0], [0, 1]]),
+        (2, f7, [[Fraction(1, 2), 0], [0, 1]]),
+    ]
+    for dim, field, cols in bad_maps:
+        with pytest.raises(FieldMismatchError):
+            LinearMap(dim, field, cols)
+    A = named["cross_product3"].algebra
+    f = LinearMap.identity(3, QQ)
+    for bad in ((0.0, 1, 0), (0.5, 1, 0), (True, 0, 0)):
+        with pytest.raises(FieldMismatchError):
+            A.multiply(bad, (1, 0, 0))
+        with pytest.raises(FieldMismatchError):
+            A.multiply((1, 0, 0), bad)
+        with pytest.raises(FieldMismatchError):
+            f.apply(bad)
+    B = random_algebra(3, f7, seed=30)
+    g = LinearMap.identity(3, f7)
+    for bad in ((Fraction(1, 2), 0, 0), (0, 3.0, 1), (0, 1, False)):
+        with pytest.raises(FieldMismatchError):
+            B.multiply(bad, (1, 2, 3))
+        with pytest.raises(FieldMismatchError):
+            g.apply(bad)
 
 
 def test_multiply_rejects_bad_shapes(named):
@@ -98,7 +128,7 @@ def test_jacobiator_is_alternating_on_randoms(fp):
         x, y, z = (tuple(s.below(fp.p) for _ in range(4)) for _ in range(3))
         j1 = A.jacobiator(x, y, z)
         j2 = A.jacobiator(y, x, z)
-        assert j1 == tuple(fp.neg(v) for v in j2)
+        assert j1 == fp.vector(-v for v in j2)
 
 
 def test_is_lie_on_catalog(named):

@@ -9,6 +9,8 @@ from homlie.cli import main
 from homlie.field import QQ
 from homlie import files
 
+import cli_golden
+
 
 def run(capsys, *argv):
     status = main(list(argv))
@@ -147,6 +149,14 @@ def test_json_booleans_are_not_integers(capsys, tmp_path, algebra, map_obj, need
     assert str(culprit) in err and needle in err
 
 
+def test_cli_output_matches_golden_file(tmp_path):
+    golden = json.loads(cli_golden.GOLDEN.read_text(encoding="utf-8"))
+    calls = cli_golden.invocations(tmp_path)
+    assert sorted(key for key, _ in calls) == sorted(golden)
+    for key, argv in calls:
+        assert cli_golden.run(argv) == golden[key], key
+
+
 def test_restrict_bidiag_rank7(capsys, fixtures_dir):
     status, out, _ = run(capsys, "restrict", fixture(fixtures_dir, "nonhomlie4"),
                          "--support", "bidiag")
@@ -243,6 +253,9 @@ def test_malformed_json_is_input_error(capsys, tmp_path):
     '{"dim": 3, "field": {"kind": "rational"}, "products": [{"left": 1, "right": 2}]}',
     '[1, 2, 3]',
     '{"dim": -1, "field": {"kind": "rational"}, "products": []}',
+    # ARABIC-INDIC DIGIT THREE: a digit, but the literal grammar is ASCII
+    '{"dim": 3, "field": {"kind": "rational"}, "products": [{"left": 1, "right": 2, "coeffs": ["\u0663","0","1"]}]}',
+    '{"dim": 3, "field": {"kind": "prime", "p": 7}, "products": [{"left": 1, "right": 2, "coeffs": ["\u0663","0","1"]}]}',
 ])
 def test_fuzz_corpus_of_malformed_files(capsys, tmp_path, payload):
     bad = tmp_path / "fuzz.json"
@@ -250,7 +263,7 @@ def test_fuzz_corpus_of_malformed_files(capsys, tmp_path, payload):
     for command in (("check",), ("matrix",), ("det",), ("kernel",)):
         status, out, err = run(capsys, *command, str(bad))
         assert status == 1, (command, payload)
-        assert out == "" and err
+        assert out == "" and str(bad) in err
 
 
 def test_usage_errors_exit_1(capsys):

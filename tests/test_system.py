@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -27,12 +27,57 @@ from homlie import (
 from homlie.field import QQ
 from homlie.system import product_block
 
-from oracles import rank_fraction
+from oracles import mat_vec, rank_fraction, skew_product
 
 
 def _defects_vanish(A, f):
     zero = A.zero_vector()
     return all(vec == zero for _, vec in hom_jacobi_defect(A, f))
+
+
+def _random_vector(field, s, n):
+    """About a third of the coordinates are zero."""
+    out = []
+    for _ in range(n):
+        if s.below(3) == 0:
+            out.append(field.zero)
+        elif field.p:
+            out.append(s.below(field.p))
+        else:
+            out.append(Fraction(s.randint(-10, 10), s.randint(1, 10)))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("which", ["rational", "prime"])
+def test_scalar_core_matches_plain_oracle(which, fp):
+    field = QQ if which == "rational" else fp
+    p = field.p
+    for n in range(3, 7):
+        for t in range(2):
+            s = rng.stream(1000 + n, t)
+            dense = random_algebra(n, field, rng.split(800 + n, t), bound=10)
+            # a sparse twin: each structure constant zeroed with chance 1/3
+            sparse = make_algebra(n, field, [
+                (i, j, [x if s.below(3) else field.zero for x in vec])
+                for (i, j), vec in dense.constants.items()
+            ])
+            f = random_linear_map(n, field, rng.split(900 + n, t), bound=10)
+            f_rows = [list(row) for row in zip(*f.columns)]
+            basis = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+            for A in (dense, sparse):
+                def mu(x, y):
+                    return skew_product(A.constants, n, x, y, p)
+
+                for _ in range(4):
+                    x, y, z = (_random_vector(field, s, n) for _ in range(3))
+                    assert list(A.multiply(x, y)) == mu(x, y)
+                    jac = [sum(v) % p if p else sum(v)
+                           for v in zip(mu(mu(x, y), z), mu(mu(y, z), x), mu(mu(z, x), y))]
+                    assert list(A.jacobiator(x, y, z)) == jac
+                    assert list(f.apply(x)) == mat_vec(f_rows, x, p)
+                for i, j, k in product(range(1, n + 1), repeat=3):
+                    expected = mu(mu(basis[i - 1], basis[j - 1]), basis[k - 1])
+                    assert list(product_block(A, i, j, k)) == expected
 
 
 def test_matrix_shape_counts(fp):
