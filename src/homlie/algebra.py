@@ -124,7 +124,7 @@ class LinearMap:
         field.check(columns)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "columns", tuple(map(field.vector, columns)))
 
     def __setattr__(self, name, value):
         raise AttributeError("LinearMap is immutable")

@@ -44,9 +44,18 @@ def _load_map(path):
         raise CliError(str(exc)) from exc
 
 
+def _load_system(path):
+    """The algebra in `path` and its Hom-Jacobi matrix."""
+    A = _load_algebra(path)
+    try:
+        return A, system.build_matrix(A)
+    except ShapeError as exc:
+        raise CliError(f"{path}: {exc}") from exc
+
+
 def cmd_check(args) -> str:
-    A = _load_algebra(args.algebra)
-    basis = system.kernel_basis(system.build_matrix(A))
+    A, M = _load_system(args.algebra)
+    basis = system.kernel_basis(M)
     witness = basis.maps[0] if basis.nullity else None
     payload = {
         "dim": A.dim,
@@ -59,8 +68,7 @@ def cmd_check(args) -> str:
 
 
 def cmd_matrix(args) -> str:
-    A = _load_algebra(args.algebra)
-    M = system.build_matrix(A)
+    A, M = _load_system(args.algebra)
     if args.format == "plain":
         return files.matrix_to_plain(M).rstrip("\n")
     if args.format == "csv":
@@ -69,8 +77,7 @@ def cmd_matrix(args) -> str:
 
 
 def cmd_det(args) -> str:
-    A = _load_algebra(args.algebra)
-    M = system.build_matrix(A)
+    A, M = _load_system(args.algebra)
     try:
         value = system.determinant(M)
     except ShapeError as exc:
@@ -79,17 +86,17 @@ def cmd_det(args) -> str:
 
 
 def cmd_kernel(args) -> str:
-    A = _load_algebra(args.algebra)
-    basis = system.kernel_basis(system.build_matrix(A))
+    _, M = _load_system(args.algebra)
+    basis = system.kernel_basis(M)
     return files.dumps_canonical(files.kernel_to_obj(basis.maps))
 
 
 def cmd_verify(args) -> str:
-    A = _load_algebra(args.algebra)
+    A, M = _load_system(args.algebra)
     f = _load_map(args.map)
     try:
         defects = system.hom_jacobi_defect(A, f)
-        in_kernel = system.is_in_kernel(A, f)
+        in_kernel = system.is_in_kernel(A, f, matrix=M)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     payload = {
@@ -125,8 +132,7 @@ def _parse_support(pattern: str, dim: int):
 
 
 def cmd_restrict(args) -> str:
-    A = _load_algebra(args.algebra)
-    M = system.build_matrix(A)
+    A, M = _load_system(args.algebra)
     support = _parse_support(args.support, A.dim)
     try:
         R = system.restrict_columns(M, support)

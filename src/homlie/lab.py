@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 from . import rng
 from .algebra import SkewAlgebra, make_algebra, random_algebra, random_invertible_map
 from .field import QQ, Field, PrimeField
-from .system import (bidiagonal_support, build_matrix, is_in_kernel, kernel_basis,
+from .system import (bidiagonal_support, build_matrix, check_size, is_in_kernel, kernel_basis,
                      rank as matrix_rank, restrict_columns)
 
 DEFAULT_PRIME = 10007
@@ -56,6 +56,7 @@ def genericity_experiment(dim: int, trials: int, field: Field, seed: int,
         raise ValueError("need at least one trial")
     if not isinstance(field, PrimeField):
         raise ValueError("genericity experiments run over a prime field")
+    check_size(dim)
     start = time.perf_counter()
     hist: dict[int, int] = {}
     full = 0

@@ -18,6 +18,12 @@ mu(mu(e_k,e_i), e_p) if q = j, of mu(mu(e_i,e_j), e_p) if q = k, else 0.
 
 An algebra "is Hom-Lie" when the kernel of M contains a nonzero map; the
 zero map is always a solution, so nontriviality is the criterion.
+
+`build_matrix` computes each block mu(mu(e_u,e_v), e_p) once and refuses
+matrices above MAX_ENTRIES entries. `rank` and `kernel_basis` first try a
+one-sided certificate: a nonsingular n^2 x n^2 minor on the rows of the n
+cyclic triples proves nullity 0 (over Q, via its image mod one fixed
+prime). Otherwise the full exact elimination decides.
 """
 
 from __future__ import annotations
@@ -28,7 +34,16 @@ from itertools import combinations
 from . import linalg
 from .algebra import LinearMap, SkewAlgebra, Vector, _check_compatible
 from .errors import ShapeError
-from .field import Field, Scalar
+from .field import Field, PrimeField, Scalar
+
+# Largest matrix build_matrix allocates, in entries (rows x columns): above
+# it the dense matrix and its elimination would take unbounded memory. The
+# limit admits n <= 14 (998,816 entries); n = 8 has 28,672.
+MAX_ENTRIES = 1_000_000
+
+# The largest prime below 2^30, so residues stay one CPython digit. Over Q
+# the full-rank certificate eliminates the cyclic minor modulo it.
+_CERTIFICATE_FIELD = PrimeField(1073741789)
 
 
 def triple_count(n: int) -> int:
@@ -88,26 +103,44 @@ def product_block(A: SkewAlgebra, i: int, j: int, k: int) -> Vector:
     return f.vector(out)
 
 
+def check_size(n: int) -> None:
+    """Raise ShapeError if the Hom-Jacobi matrix of an n-dimensional algebra
+    would have more than MAX_ENTRIES entries."""
+    entries = n * triple_count(n) * n * n
+    if entries > MAX_ENTRIES:
+        raise ShapeError(
+            f"dimension {n}: the Hom-Jacobi matrix would have {entries:,} entries, "
+            f"above the limit of {MAX_ENTRIES:,}"
+        )
+
+
 def build_matrix(A: SkewAlgebra) -> HomJacobiMatrix:
     """Assemble the Hom-Jacobi matrix of an algebra.
 
     For n < 3 there are no triples and the matrix has zero rows (every
-    endomorphism is a twisting map).
+    endomorphism is a twisting map). Each block mu(mu(e_u,e_v), e_p) is
+    computed once, for u < v; the (v, u) block is its negation. Raises
+    ShapeError above MAX_ENTRIES entries, before allocating anything.
     """
     n = A.dim
+    check_size(n)
     f = A.field
     zero = f.zero
+    blocks = {}
+    for u, v in combinations(range(1, n + 1), 2):
+        blocks[u, v] = [product_block(A, u, v, p) for p in range(1, n + 1)]
+        blocks[v, u] = [f.vector(-x for x in blk) for blk in blocks[u, v]]
     triples = list(combinations(range(1, n + 1), 3))
     rows = [[zero] * (n * n) for _ in range(len(triples) * n)]
     for t, (i, j, k) in enumerate(triples):
-        base = t * n
-        for q, (u, v) in ((i, (j, k)), (j, (k, i)), (k, (i, j))):
-            for p in range(1, n + 1):
-                col = (q - 1) * n + (p - 1)
-                blk = product_block(A, u, v, p)
-                for l in range(n):
-                    if blk[l] != zero:
-                        rows[base + l][col] = blk[l]
+        out = rows[t * n : (t + 1) * n]
+        for q, pair in ((i, (j, k)), (j, (k, i)), (k, (i, j))):
+            col = (q - 1) * n
+            for blk in blocks[pair]:
+                for row, x in zip(out, blk):
+                    if x:
+                        row[col] = x
+                col += 1
     return HomJacobiMatrix(n, f, rows, triples)
 
 
@@ -148,14 +181,47 @@ class KernelBasis:
         return len(self.maps)
 
 
+def _full_rank_certified(M: HomJacobiMatrix) -> bool:
+    """True only if M provably has full column rank n^2.
+
+    The row blocks of the n cyclic triples {i, i+1, i+2} (indices mod n),
+    distinct for n >= 4, form a square n^2 x n^2 submatrix S, and a
+    nonsingular S gives M full column rank. Over F_p, S is eliminated as it
+    is. Over Q it is reduced mod a fixed prime P, unless P divides a
+    denominator: rank_P(S mod P) <= rank_Q(S) <= rank_Q(M). False means
+    "not certified", never "rank deficient".
+    """
+    n = M.dim
+    if n < 4:
+        return False
+    S = []
+    for i in range(1, n + 1):
+        t = M.triples.index(tuple(sorted((i, i % n + 1, (i + 1) % n + 1))))
+        S += M.rows[t * n : (t + 1) * n]
+    if M.field.p:
+        return linalg.rank(M.field, S) == n * n
+    M.field.check(S)
+    P = _CERTIFICATE_FIELD.p
+    if any(x.denominator % P == 0 for row in S for x in row):
+        return False
+    S = [[x.numerator * pow(x.denominator, -1, P) % P if x.denominator != 1 else x.numerator % P
+          for x in row] for row in S]
+    return linalg.rank(_CERTIFICATE_FIELD, S) == n * n
+
+
 def kernel_basis(M: HomJacobiMatrix) -> KernelBasis:
-    """Canonical kernel basis via exact Gauss-Jordan elimination."""
+    """Canonical kernel basis via exact Gauss-Jordan elimination; empty,
+    with only the cyclic minor eliminated, when that certifies full rank."""
+    if _full_rank_certified(M):
+        return KernelBasis(M.dim)
     vectors = linalg.nullspace(M.field, M.rows, M.ncols)
     maps = [LinearMap.from_flat(M.dim, M.field, v) for v in vectors]
     return KernelBasis(M.dim, maps)
 
 
 def rank(M: HomJacobiMatrix) -> int:
+    if _full_rank_certified(M):
+        return M.ncols
     return linalg.rank(M.field, M.rows)
 
 

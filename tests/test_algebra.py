@@ -229,6 +229,18 @@ def test_linear_map_apply_and_compose(qq):
     assert LinearMap.identity(3, qq).apply(x) == x
 
 
+def test_linear_map_stores_canonical_residues(f7, qq):
+    from homlie import files
+
+    f = LinearMap(2, f7, [[8, 0], [0, 1]])
+    assert f == LinearMap.identity(2, f7)
+    assert files.map_to_obj(f) == files.map_to_obj(LinearMap.identity(2, f7))
+    assert files.map_to_obj(f)["columns"] == [["1", "0"], ["0", "1"]]
+    assert LinearMap(2, f7, [[-1, 0], [0, 1]]).flatten() == [6, 0, 0, 1]
+    # over Q the entries are kept as given
+    assert LinearMap(2, qq, [[-1, Fraction(1, 2)], [0, 1]]).flatten() == [-1, Fraction(1, 2), 0, 1]
+
+
 def test_linear_map_validates_shape(qq):
     with pytest.raises(ShapeError):
         LinearMap(3, qq, [[qq.zero] * 3] * 2)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -200,6 +201,28 @@ def test_sample_rejects_composite_prime(capsys):
     status, _, err = run(capsys, "sample", "--dim", "3", "--trials", "2",
                          "--prime", "10", "--seed", "0")
     assert status == 1 and "prime" in err
+
+
+def test_oversized_inputs_fail_fast_with_exit_1(capsys, tmp_path):
+    # dimension 40 would make a 395,200 x 1,600 Hom-Jacobi matrix
+    apath = str(tmp_path / "abelian40.json")
+    with open(apath, "w", encoding="utf-8") as fh:
+        json.dump({"dim": 40, "field": {"kind": "rational"}, "products": []}, fh)
+    mpath = write_map(tmp_path, LinearMap.identity(40, QQ), "id40.json")
+    calls = [("check", apath), ("kernel", apath), ("det", apath), ("matrix", apath),
+             ("restrict", apath), ("verify", apath, mpath)]
+    for argv in calls:
+        start = time.perf_counter()
+        status, out, err = run(capsys, *argv)
+        assert status == 1 and out == "", argv
+        assert apath in err and "dimension 40" in err, argv
+        assert time.perf_counter() - start < 5, argv
+    # at dimension 1000 even the random structure constants would not fit
+    for dim in ("40", "1000"):
+        start = time.perf_counter()
+        status, out, err = run(capsys, "sample", "--dim", dim, "--trials", "1", "--seed", "0")
+        assert status == 1 and out == "" and f"dimension {dim}" in err
+        assert time.perf_counter() - start < 5
 
 
 def test_transport_round_trip_preserves_nullity(capsys, fixtures_dir, tmp_path):

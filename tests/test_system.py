@@ -2,9 +2,11 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homlie import (
     LinearMap,
+    PrimeField,
     ShapeError,
     build_matrix,
     determinant,
@@ -18,16 +20,22 @@ from homlie import (
     make_algebra,
     nullity,
     random_algebra,
+    random_invertible_map,
     random_linear_map,
     rank,
+    reduce_mod,
     restrict_columns,
     rng,
     triple_count,
 )
 from homlie.field import QQ
-from homlie.system import product_block
+from homlie.lab import catalog
+from homlie.system import MAX_ENTRIES, _full_rank_certified, check_size, product_block
 
-from oracles import mat_vec, rank_fraction, skew_product
+from oracles import mat_vec, rank_det_modp, rank_fraction, skew_product
+
+# the prime the full-rank certificate works modulo over Q
+CERTIFICATE_PRIME = 1073741789
 
 
 def _defects_vanish(A, f):
@@ -110,11 +118,14 @@ def test_golden_matrix(named, fixtures_dir):
     assert [int(x) for x in M.rows[0]] == [-5, -1, 3, -4, -1, 1, 1, -6, 0, 3, -3, -3, 0, 0, 0, 0]
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
-def test_matrix_entry_invariant_on_random_algebra(fp, n):
+@pytest.mark.parametrize("which", ["rational", "prime"])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_matrix_entry_invariant_on_random_algebra(fp, which, n):
     # entry (row (T,l), col (p,q)) must equal coordinate l of the product
-    # block for the complementary pair of the triple
-    A = random_algebra(n, fp, seed=51)
+    # block for the complementary pair of the triple; the (k, i) block is
+    # computed here directly, not as the negated (i, k) block
+    field = QQ if which == "rational" else fp
+    A = random_algebra(n, field, seed=51)
     M = build_matrix(A)
     for t, (i, j, k) in enumerate(M.triples):
         for q in range(1, n + 1):
@@ -213,6 +224,96 @@ def test_rank_nullity_against_fraction_oracle(qq):
         A = random_algebra(3, qq, rng.split(56, t), bound=5)
         M = build_matrix(A)
         assert rank(M) == rank_fraction([[Fraction(x) for x in row] for row in M.rows])
+
+
+def _oracle_rank(M):
+    if M.field.p:
+        return rank_det_modp(M.rows, M.field.p)[0]
+    return rank_fraction(M.rows)
+
+
+def _assert_rank_matches_oracle(M) -> bool:
+    """rank and nullity agree with the oracle; returns whether the
+    certificate fired, which must imply full rank."""
+    expected = _oracle_rank(M)
+    certified = _full_rank_certified(M)
+    assert not certified or expected == M.ncols
+    assert rank(M) == expected
+    assert kernel_basis(M).nullity == M.ncols - expected
+    return certified
+
+
+def _moved_lie_algebras(field):
+    """Catalog Lie algebras transported by seeded invertible maps: rank deficient."""
+    out = []
+    for t, entry in enumerate(c for c in catalog() if c.is_lie):
+        A = entry.algebra
+        if field.p:
+            A = make_algebra(A.dim, field, [(i, j, [reduce_mod(x, field.p) for x in vec])
+                                            for (i, j), vec in A.constants.items()])
+        out.append(A.transport(random_invertible_map(A.dim, field, rng.split(61, t), bound=3)))
+    return out
+
+
+def test_rank_and_kernel_match_oracles(fp, qq):
+    generic = [random_algebra(n, fp, rng.split(62, n)) for n in range(4, 9)]
+    generic += [random_algebra(n, qq, rng.split(63, n), bound=5) for n in range(4, 7)]
+    assert all(_assert_rank_matches_oracle(build_matrix(A)) for A in generic)
+    for entry in catalog():
+        M = build_matrix(entry.algebra)
+        _assert_rank_matches_oracle(M)
+        assert kernel_basis(M).nullity == entry.nullity
+    for field in (qq, fp):
+        for A in _moved_lie_algebras(field):
+            M = build_matrix(A)
+            assert not _assert_rank_matches_oracle(M)
+            assert rank(M) < M.ncols
+
+
+def test_certificate_falls_back_when_the_minor_is_singular():
+    # over F_3 the cyclic minor is often singular while M has full rank;
+    # the full elimination must then decide
+    fallbacks = 0
+    for n in (4, 5, 6):
+        for t in range(8):
+            M = build_matrix(random_algebra(n, PrimeField(3), rng.split(64 + n, t)))
+            certified = _assert_rank_matches_oracle(M)
+            if not certified and _oracle_rank(M) == M.ncols:
+                fallbacks += 1
+    assert fallbacks > 0
+
+
+def test_certificate_is_skipped_for_its_prime_in_a_denominator(qq):
+    A = random_algebra(5, qq, seed=65, bound=5)
+    (i, j), vec = next(iter(A.constants.items()))
+    scaled = dict(A.constants)
+    scaled[(i, j)] = (vec[0] / CERTIFICATE_PRIME, *vec[1:])
+    B = make_algebra(5, qq, [(i, j, v) for (i, j), v in scaled.items()])
+    M = build_matrix(B)
+    assert _full_rank_certified(build_matrix(A))
+    assert any(x.denominator % CERTIFICATE_PRIME == 0 for row in M.rows for x in row)
+    assert not _full_rank_certified(M)
+    assert rank(M) == rank_fraction(M.rows) == M.ncols
+    assert kernel_basis(M).nullity == 0
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(n=st.integers(4, 6), p=st.sampled_from([2, 3, 5, 7, 10007]),
+       seed=st.integers(0, 2**32 - 1))
+def test_certificate_implies_full_rank(n, p, seed):
+    M = build_matrix(random_algebra(n, PrimeField(p), seed))
+    certified = _assert_rank_matches_oracle(M)
+    if n == 4:
+        # the cyclic triples are all four triples: S is M reordered
+        assert certified == (_oracle_rank(M) == 16)
+
+
+def test_build_matrix_rejects_oversized_input(qq):
+    check_size(14)
+    assert 14 * triple_count(14) * 14 * 14 <= MAX_ENTRIES < 15 * triple_count(15) * 15 * 15
+    for n in (15, 40):
+        with pytest.raises(ShapeError, match=f"dimension {n}"):
+            build_matrix(make_algebra(n, qq, []))
 
 
 def test_determinant_rejects_non_square(named):
