@@ -1,9 +1,12 @@
 """The CLI invocations whose exact stdout and exit status are pinned in
 `fixtures/cli_golden.json`.
 
-`check`, `kernel`, `det`, `matrix --format json` and `restrict` (bidiag
-and diag) run on every algebra file in `fixtures/` and on every catalog
-algebra written out over Q and over F_10007; `sample` runs at n = 3..5.
+`check`, `kernel`, `det`, `matrix --format json` and `restrict` (bidiag,
+diag, an unsorted mixed pattern, a pattern with a duplicate entry and the
+full support) run on every algebra file in `fixtures/` and on every
+catalog algebra written out over Q and over F_10007. `check` and the
+non-full `restrict` patterns also run on seeded moved Lie algebras and
+random algebras at n = 5..6 over Q. `sample` runs at n = 3..5.
 `tests/test_cli.py` replays them. To regenerate the fixture after an
 intended output change, run from the root of a checkout:
 
@@ -24,36 +27,66 @@ COMMANDS = (
     ("matrix", "--format", "json"),
     ("restrict", "--support", "bidiag"),
     ("restrict", "--support", "diag"),
+    ("restrict", "--support", "3,1;1,1;2,3;1,2"),
+    ("restrict", "--support", "2,2;1,1;2,2;3,1"),
 )
 
+# check and the restricted systems on larger rational inputs; their
+# kernel and full matrix dumps would only bloat the fixture
+LARGE_COMMANDS = (("check",), *COMMANDS[4:])
 
-def algebra_files(workdir: pathlib.Path) -> list[tuple[str, str]]:
-    """(label, path) for the fixture files and the catalog over Q and F_p.
+
+def _write(workdir: pathlib.Path, name: str, A) -> str:
+    from homlie import files
+
+    path = workdir / f"{name}.json"
+    path.write_text(json.dumps(files.algebra_to_obj(A)), encoding="utf-8")
+    return str(path)
+
+
+def algebra_files(workdir: pathlib.Path) -> list[tuple[str, str, int]]:
+    """(label, path, dim) for the fixture files and the catalog over Q and F_p.
 
     The catalog files are written into workdir; labels do not depend on it.
     """
-    from homlie import PrimeField, files, make_algebra, reduce_mod
+    from homlie import PrimeField, make_algebra, reduce_mod
     from homlie.lab import catalog
 
-    out = [(f"fixtures/{p.name}", str(p)) for p in sorted(FIXTURES.glob("*.json"))
-           if p != GOLDEN]
+    out = [(f"fixtures/{p.name}", str(p), json.loads(p.read_text(encoding="utf-8"))["dim"])
+           for p in sorted(FIXTURES.glob("*.json")) if p != GOLDEN]
     fp = PrimeField(PRIME)
     for entry in catalog():
         A = entry.algebra
         modp = make_algebra(A.dim, fp, [(i, j, [reduce_mod(x, PRIME) for x in vec])
                                         for (i, j), vec in A.constants.items()])
         for tag, B in (("QQ", A), (f"F{PRIME}", modp)):
-            path = workdir / f"{entry.name}-{tag}.json"
-            path.write_text(json.dumps(files.algebra_to_obj(B)), encoding="utf-8")
-            out.append((f"catalog/{entry.name}-{tag}", str(path)))
+            name = f"{entry.name}-{tag}"
+            out.append((f"catalog/{name}", _write(workdir, name, B), A.dim))
     return out
+
+
+def large_algebra_files(workdir: pathlib.Path) -> list[tuple[str, str]]:
+    """(label, path) for seeded moved Lie and random algebras at n = 5..6 over Q."""
+    from homlie import QQ, random_algebra, rng
+    from samples import lie_algebras, moved
+
+    lie = lie_algebras(QQ)
+    algebras = [(f"moved-{name}", moved(lie[name], rng.split(70, t), bound=2))
+                for t, name in enumerate(("sl2+a2", "h5", "sl2+sl2"))]
+    algebras += [(f"random{n}", random_algebra(n, QQ, rng.split(71, n), bound=5)) for n in (5, 6)]
+    return [(f"seeded/{name}", _write(workdir, name, A)) for name, A in algebras]
 
 
 def invocations(workdir: pathlib.Path) -> list[tuple[str, list[str]]]:
     """(key, argv) for every pinned invocation, in a fixed order."""
     out = []
-    for label, path in algebra_files(workdir):
-        for command in COMMANDS:
+    for label, path, dim in algebra_files(workdir):
+        full = ";".join(f"{p},{q}" for p in range(1, dim + 1) for q in range(1, dim + 1))
+        for command in (*COMMANDS, ("restrict", "--support", full)):
+            argv = [command[0], path, *command[1:]]
+            out.append((" ".join([command[0], label, *command[1:]]), argv))
+    for label, path in large_algebra_files(workdir):
+        for command in LARGE_COMMANDS:
             argv = [command[0], path, *command[1:]]
             out.append((" ".join([command[0], label, *command[1:]]), argv))
     for dim in (3, 4, 5):
