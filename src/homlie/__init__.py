@@ -29,7 +29,6 @@ from .lab import (
 from .system import (
     HomJacobiMatrix,
     KernelBasis,
-    RestrictedSystem,
     bidiagonal_support,
     build_matrix,
     determinant,
@@ -59,7 +58,6 @@ __all__ = [
     "QQ",
     "Rationals",
     "ReductionError",
-    "RestrictedSystem",
     "SampleReport",
     "ShapeError",
     "SingularMatrixError",

@@ -152,9 +152,8 @@ class LinearMap:
     def from_entries(cls, dim: int, field: Field, entries: dict) -> "LinearMap":
         """Build from a sparse {(p, q): value} entry map, 1-based."""
         cols = [[field.zero] * dim for _ in range(dim)]
-        for (p, q), v in entries.items():
-            if not (1 <= p <= dim and 1 <= q <= dim):
-                raise ShapeError(f"entry position {(p, q)} out of range")
+        for pq, v in entries.items():
+            p, q = _position(pq, dim, "entry position")
             cols[q - 1][p - 1] = field.element(v)
         return cls(dim, field, cols)
 
@@ -224,6 +223,14 @@ def _check_compatible(algebra: SkewAlgebra, f: LinearMap):
 def _is_index(x) -> bool:
     # bool is an int subclass, but JSON true is not a dimension or an index
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _position(pq, dim: int, what: str) -> tuple:
+    """pq as a (p, q) tuple of indices in 1..dim; ShapeError otherwise."""
+    if not (isinstance(pq, (tuple, list)) and len(pq) == 2
+            and all(_is_index(x) and 1 <= x <= dim for x in pq)):
+        raise ShapeError(f"{what} {pq!r} is not a pair of indices in 1..{dim}")
+    return tuple(pq)
 
 
 def make_algebra(dim: int, field: Field, products) -> SkewAlgebra:

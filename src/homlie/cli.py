@@ -14,6 +14,7 @@ import argparse
 import sys
 
 from . import files, system
+from .algebra import LinearMap
 from .errors import ShapeError
 from .field import PrimeField
 from .lab import DEFAULT_BOUND, DEFAULT_PRIME, genericity_experiment
@@ -57,9 +58,11 @@ def cmd_check(args) -> str:
     A, M = _load_system(args.algebra)
     basis = system.kernel_basis(M)
     witness = basis.maps[0] if basis.nullity else None
+    # Lie iff Id is a twisting map, so never with nullity 0
+    is_lie = basis.nullity > 0 and system.is_in_kernel(A, LinearMap.identity(A.dim, A.field), matrix=M)
     payload = {
         "dim": A.dim,
-        "is_lie": A.is_lie(),
+        "is_lie": is_lie,
         "nullity": basis.nullity,
         "is_hom_lie": basis.nullity >= 1,
         "witness": files.map_to_obj(witness) if witness else None,
@@ -138,15 +141,15 @@ def cmd_restrict(args) -> str:
         R = system.restrict_columns(M, support)
     except ShapeError as exc:
         raise CliError(str(exc)) from exc
-    kernel = R.kernel()
+    basis = system.kernel_basis(R)
     payload = {
         "rows": R.nrows,
         "cols": R.ncols,
         "support": [list(pq) for pq in R.support],
         "entries": [[A.field.format(x) for x in row] for row in R.rows],
-        "rank": R.rank(),
-        "nullity": len(kernel),
-        "kernel": [[A.field.format(x) for x in v] for v in kernel],
+        "rank": R.ncols - basis.nullity,
+        "nullity": basis.nullity,
+        "kernel": [[A.field.format(f.entry(p, q)) for p, q in R.support] for f in basis.maps],
     }
     return files.dumps_canonical(payload)
 

@@ -78,7 +78,7 @@ def generic_reduced_rank(count: int, fld: Field, seed: int, bound: int = DEFAULT
     hist: dict[int, int] = {}
     for t in range(count):
         A = random_algebra(4, fld, rng.split(seed, t), bound)
-        r = restrict_columns(build_matrix(A), support).rank()
+        r = matrix_rank(restrict_columns(build_matrix(A), support))
         hist[r] = hist.get(r, 0) + 1
     return hist
 

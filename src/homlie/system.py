@@ -17,13 +17,17 @@ column (p, q) is coordinate l of mu(mu(e_j,e_k), e_p) if q = i, of
 mu(mu(e_k,e_i), e_p) if q = j, of mu(mu(e_i,e_j), e_p) if q = k, else 0.
 
 An algebra "is Hom-Lie" when the kernel of M contains a nonzero map; the
-zero map is always a solution, so nontriviality is the criterion.
+zero map is always a solution, so nontriviality is the criterion. With
+f = Id it is the Jacobi identity: the algebra is Lie iff Id is in the
+kernel. Twisting maps of a given shape only select unknowns:
+`restrict_columns` returns the HomJacobiMatrix of the chosen columns, and
+`rank`, `nullity` and `kernel_basis` serve it like the full matrix.
 
 `build_matrix` computes each block mu(mu(e_u,e_v), e_p) once and refuses
 matrices above MAX_ENTRIES entries. `rank` and `kernel_basis` first try a
-one-sided certificate: a nonsingular n^2 x n^2 minor on the rows of the n
-cyclic triples proves nullity 0 (over Q, via its image mod one fixed
-prime). Otherwise the full exact elimination decides.
+one-sided certificate: full column rank of the n^2 rows of the n cyclic
+triples proves full column rank of M (over Q, via their image mod one
+fixed prime). Otherwise the full exact elimination decides.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 
 from . import linalg
-from .algebra import LinearMap, SkewAlgebra, Vector, _check_compatible
+from .algebra import LinearMap, SkewAlgebra, Vector, _check_compatible, _position
 from .errors import ShapeError
 from .field import Field, PrimeField, Scalar
 
@@ -51,15 +55,17 @@ def triple_count(n: int) -> int:
 
 
 class HomJacobiMatrix:
-    """Dense exact matrix of the Hom-Jacobi system, with frozen ordering."""
+    """Dense exact matrix of the Hom-Jacobi system, with frozen ordering.
+    Column c holds the unknown a_{p,q}, (p, q) = support[c], in (q, p)
+    order: all n^2 positions, or those kept by restrict_columns."""
 
-    __slots__ = ("dim", "field", "rows", "triples")
+    __slots__ = ("dim", "field", "rows", "support")
 
-    def __init__(self, dim: int, field: Field, rows, triples):
+    def __init__(self, dim: int, field: Field, rows, support):
         self.dim = dim
         self.field = field
         self.rows = rows
-        self.triples = triples
+        self.support = support
 
     @property
     def nrows(self) -> int:
@@ -67,13 +73,14 @@ class HomJacobiMatrix:
 
     @property
     def ncols(self) -> int:
-        return self.dim * self.dim
+        return len(self.support)
 
     def __eq__(self, other):
         return (
             isinstance(other, HomJacobiMatrix)
             and self.dim == other.dim
             and self.field == other.field
+            and self.support == other.support
             and self.rows == other.rows
         )
 
@@ -81,7 +88,8 @@ class HomJacobiMatrix:
         return f"HomJacobiMatrix(dim={self.dim}, shape={self.nrows}x{self.ncols})"
 
     def apply(self, flat) -> list:
-        """M times a flattened endomorphism vector."""
+        """M times a vector of its unknowns (for the full matrix, a
+        flattened endomorphism)."""
         if len(flat) != self.ncols:
             raise ShapeError(f"vector must have length {self.ncols}")
         return linalg.mat_vec(self.field, self.rows, flat)
@@ -91,15 +99,18 @@ def product_block(A: SkewAlgebra, i: int, j: int, k: int) -> Vector:
     """mu(mu(e_i,e_j), e_k) straight from the structure constants.
 
     Coordinate l is sum_s C_{i,j}^s C_{s,k}^l with the skew extension for
-    unordered index pairs.
+    unordered index pairs: for s > k the stored C_{k,s} is subtracted.
     """
     f = A.field
     out = [f.zero] * A.dim
     for s, cs in enumerate(A.structure_vector(i, j), 1):
-        if cs and s != k:
-            for l, x in enumerate(A.structure_vector(s, k)):
-                if x:
-                    out[l] += cs * x
+        if not cs or s == k:
+            continue
+        vec = A.constants.get((s, k) if s < k else (k, s), ())
+        c = cs if s < k else -cs
+        for l, x in enumerate(vec):
+            if x:
+                out[l] += c * x
     return f.vector(out)
 
 
@@ -141,7 +152,8 @@ def build_matrix(A: SkewAlgebra) -> HomJacobiMatrix:
                     if x:
                         row[col] = x
                 col += 1
-    return HomJacobiMatrix(n, f, rows, triples)
+    support = tuple((p, q) for q in range(1, n + 1) for p in range(1, n + 1))
+    return HomJacobiMatrix(n, f, rows, support)
 
 
 def hom_jacobi_defect(A: SkewAlgebra, f: LinearMap) -> list:
@@ -182,41 +194,48 @@ class KernelBasis:
 
 
 def _full_rank_certified(M: HomJacobiMatrix) -> bool:
-    """True only if M provably has full column rank n^2.
+    """True only if M provably has full column rank M.ncols.
 
     The row blocks of the n cyclic triples {i, i+1, i+2} (indices mod n),
-    distinct for n >= 4, form a square n^2 x n^2 submatrix S, and a
-    nonsingular S gives M full column rank. Over F_p, S is eliminated as it
-    is. Over Q it is reduced mod a fixed prime P, unless P divides a
-    denominator: rank_P(S mod P) <= rank_Q(S) <= rank_Q(M). False means
-    "not certified", never "rank deficient".
+    distinct for n >= 4, form an n^2-row submatrix S, and full column rank
+    of S gives M full column rank; for the full matrix S is square. Over
+    F_p, S is eliminated as it is. Over Q it is reduced mod a fixed prime
+    P, unless P divides a denominator: rank_P(S mod P) <= rank_Q(S) <=
+    rank_Q(M). False means "not certified", never "rank deficient".
     """
     n = M.dim
     if n < 4:
         return False
+    triples = list(combinations(range(1, n + 1), 3))
     S = []
     for i in range(1, n + 1):
-        t = M.triples.index(tuple(sorted((i, i % n + 1, (i + 1) % n + 1))))
+        t = triples.index(tuple(sorted((i, i % n + 1, (i + 1) % n + 1))))
         S += M.rows[t * n : (t + 1) * n]
     if M.field.p:
-        return linalg.rank(M.field, S) == n * n
+        return linalg.rank(M.field, S) == M.ncols
     M.field.check(S)
     P = _CERTIFICATE_FIELD.p
     if any(x.denominator % P == 0 for row in S for x in row):
         return False
     S = [[x.numerator * pow(x.denominator, -1, P) % P if x.denominator != 1 else x.numerator % P
           for x in row] for row in S]
-    return linalg.rank(_CERTIFICATE_FIELD, S) == n * n
+    return linalg.rank(_CERTIFICATE_FIELD, S) == M.ncols
 
 
 def kernel_basis(M: HomJacobiMatrix) -> KernelBasis:
     """Canonical kernel basis via exact Gauss-Jordan elimination; empty,
-    with only the cyclic minor eliminated, when that certifies full rank."""
+    with only the cyclic minor eliminated, when that certifies full rank.
+    Each nullspace vector becomes a map through M.support, zero elsewhere."""
     if _full_rank_certified(M):
         return KernelBasis(M.dim)
-    vectors = linalg.nullspace(M.field, M.rows, M.ncols)
-    maps = [LinearMap.from_flat(M.dim, M.field, v) for v in vectors]
-    return KernelBasis(M.dim, maps)
+    n = M.dim
+    maps = []
+    for v in linalg.nullspace(M.field, M.rows, M.ncols):
+        flat = [M.field.zero] * (n * n)
+        for (p, q), x in zip(M.support, v):
+            flat[(q - 1) * n + (p - 1)] = x
+        maps.append(LinearMap.from_flat(n, M.field, flat))
+    return KernelBasis(n, maps)
 
 
 def rank(M: HomJacobiMatrix) -> int:
@@ -274,48 +293,18 @@ def bidiagonal_support(n: int) -> tuple:
     return tuple(out)
 
 
-@dataclass
-class RestrictedSystem:
-    """Columns of M for unknowns in a support pattern, in (q, p) lex order."""
+def restrict_columns(M: HomJacobiMatrix, support) -> HomJacobiMatrix:
+    """Keep only the columns of unknowns a_{p,q} with (p, q) in support.
 
-    dim: int
-    field: Field
-    support: tuple
-    rows: list
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.support)
-
-    def rank(self) -> int:
-        return linalg.rank(self.field, self.rows)
-
-    def kernel(self) -> list:
-        """Canonical nullspace vectors, one scalar per support position."""
-        return linalg.nullspace(self.field, self.rows, self.ncols)
-
-    def extend(self, coeffs) -> LinearMap:
-        """Zero-pad a solution of the restricted system to a full map."""
-        if len(coeffs) != self.ncols:
-            raise ShapeError(f"need {self.ncols} coefficients")
-        entries = {pq: c for pq, c in zip(self.support, coeffs)}
-        return LinearMap.from_entries(self.dim, self.field, entries)
-
-
-def restrict_columns(M: HomJacobiMatrix, support) -> RestrictedSystem:
-    """Keep only the columns of unknowns a_{p,q} with (p, q) in support."""
-    n = M.dim
-    support = set(support)
-    if not support:
-        raise ShapeError("support pattern is empty")
-    for p, q in support:
-        if not (1 <= p <= n and 1 <= q <= n):
-            raise ShapeError(f"support position {(p, q)} out of range 1..{n}")
-    ordered = tuple(sorted(support, key=lambda pq: (pq[1], pq[0])))
-    cols = [(q - 1) * n + (p - 1) for p, q in ordered]
+    Columns follow the (q, p) order and duplicates count once. Raises
+    ShapeError for an empty support or a position that is not a pair of
+    indices naming a column of M.
+    """
+    index = {pq: c for c, pq in enumerate(M.support)}
+    chosen = {_position(pq, M.dim, "support position") for pq in support}
+    if not chosen or not chosen <= index.keys():
+        raise ShapeError(f"support {sorted(chosen)} is empty or not within the matrix's columns")
+    ordered = tuple(sorted(chosen, key=lambda pq: (pq[1], pq[0])))
+    cols = [index[pq] for pq in ordered]
     rows = [[row[c] for c in cols] for row in M.rows]
-    return RestrictedSystem(n, M.field, ordered, rows)
+    return HomJacobiMatrix(M.dim, M.field, rows, ordered)

@@ -5,12 +5,14 @@ import time
 
 import pytest
 
-from homlie import LinearMap, PrimeField, build_matrix, determinant, random_algebra, random_invertible_map
+from homlie import (LinearMap, PrimeField, build_matrix, determinant, make_algebra, random_algebra,
+                    random_invertible_map, rng)
 from homlie.cli import main
 from homlie.field import QQ
 from homlie import files
 
 import cli_golden
+from samples import lie_algebras, moved_lie_algebras
 
 
 def run(capsys, *argv):
@@ -51,6 +53,26 @@ def test_check_cross_product3(capsys, fixtures_dir):
     payload = json.loads(out)
     assert status == 0
     assert payload["is_lie"] is True and payload["nullity"] == 6
+
+
+def test_check_is_lie_matches_jacobiator(capsys, tmp_path):
+    # check reads is_lie off M (Id in the kernel); SkewAlgebra.is_lie
+    # evaluates the Jacobiator from the structure constants
+    seen = set()
+    for field in (QQ, PrimeField(10007)):
+        algebras = [random_algebra(n, field, rng.split(69, n), bound=5) for n in range(3, 7)]
+        algebras += moved_lie_algebras(field) + list(lie_algebras(field).values())
+        # [e1, e2] of a Lie algebra changed: usually no longer Lie
+        algebras += [make_algebra(A.dim, field, [(i, j, [v[0] + 1, *v[1:]] if (i, j) == (1, 2) else v)
+                                                 for (i, j), v in A.constants.items()])
+                     for A in lie_algebras(field).values()]
+        for t, A in enumerate(algebras):
+            path = tmp_path / f"algebra{t}.json"
+            path.write_text(json.dumps(files.algebra_to_obj(A)), encoding="utf-8")
+            status, out, _ = run(capsys, "check", str(path))
+            assert status == 0 and json.loads(out)["is_lie"] is A.is_lie(), (field, t)
+            seen.add(A.is_lie())
+    assert seen == {True, False}
 
 
 def test_check_output_is_canonical_json(capsys, fixtures_dir):

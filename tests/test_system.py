@@ -20,10 +20,8 @@ from homlie import (
     make_algebra,
     nullity,
     random_algebra,
-    random_invertible_map,
     random_linear_map,
     rank,
-    reduce_mod,
     restrict_columns,
     rng,
     triple_count,
@@ -33,6 +31,7 @@ from homlie.lab import catalog
 from homlie.system import MAX_ENTRIES, _full_rank_certified, check_size, product_block
 
 from oracles import mat_vec, rank_det_modp, rank_fraction, skew_product
+from samples import lie_algebras, moved, moved_lie_algebras
 
 # the prime the full-rank certificate works modulo over Q
 CERTIFICATE_PRIME = 1073741789
@@ -127,7 +126,8 @@ def test_matrix_entry_invariant_on_random_algebra(fp, which, n):
     field = QQ if which == "rational" else fp
     A = random_algebra(n, field, seed=51)
     M = build_matrix(A)
-    for t, (i, j, k) in enumerate(M.triples):
+    assert M.support == tuple((p, q) for q in range(1, n + 1) for p in range(1, n + 1))
+    for t, (i, j, k) in enumerate(combinations(range(1, n + 1), 3)):
         for q in range(1, n + 1):
             for p in range(1, n + 1):
                 col = (q - 1) * n + (p - 1)
@@ -243,18 +243,6 @@ def _assert_rank_matches_oracle(M) -> bool:
     return certified
 
 
-def _moved_lie_algebras(field):
-    """Catalog Lie algebras transported by seeded invertible maps: rank deficient."""
-    out = []
-    for t, entry in enumerate(c for c in catalog() if c.is_lie):
-        A = entry.algebra
-        if field.p:
-            A = make_algebra(A.dim, field, [(i, j, [reduce_mod(x, field.p) for x in vec])
-                                            for (i, j), vec in A.constants.items()])
-        out.append(A.transport(random_invertible_map(A.dim, field, rng.split(61, t), bound=3)))
-    return out
-
-
 def test_rank_and_kernel_match_oracles(fp, qq):
     generic = [random_algebra(n, fp, rng.split(62, n)) for n in range(4, 9)]
     generic += [random_algebra(n, qq, rng.split(63, n), bound=5) for n in range(4, 7)]
@@ -264,7 +252,7 @@ def test_rank_and_kernel_match_oracles(fp, qq):
         _assert_rank_matches_oracle(M)
         assert kernel_basis(M).nullity == entry.nullity
     for field in (qq, fp):
-        for A in _moved_lie_algebras(field):
+        for A in moved_lie_algebras(field):
             M = build_matrix(A)
             assert not _assert_rank_matches_oracle(M)
             assert rank(M) < M.ncols
@@ -369,7 +357,7 @@ def test_restrict_bidiagonal_matches_block_formulas(named):
     ]
     for l in range(4):
         assert R.rows[l] == [b[l] for b in blocks]
-    assert R.rank() == 7
+    assert rank(R) == 7 and nullity(R) == 0 and kernel_basis(R).maps == []
 
 
 def test_restrict_diagonal_matches_cyclic_system(named):
@@ -393,7 +381,8 @@ def test_restrict_full_support_is_whole_matrix(named):
     M = build_matrix(A)
     full = [(p, q) for p in range(1, 4) for q in range(1, 4)]
     R = restrict_columns(M, full)
-    assert R.rows == M.rows
+    assert R == M and R.rows == M.rows and R.support == M.support
+    assert kernel_basis(R) == kernel_basis(M)
 
 
 def test_restricted_solutions_extend_to_kernel(named):
@@ -401,9 +390,11 @@ def test_restricted_solutions_extend_to_kernel(named):
     M = build_matrix(A)
     R = restrict_columns(M, diagonal_support(3))
     # every diagonal map is a twisting map of the cross product
-    assert R.rank() == 0
-    for coeffs in R.kernel():
-        f = R.extend(coeffs)
+    assert rank(R) == 0
+    maps = kernel_basis(R).maps
+    assert [[f.entry(i, i) for i in range(1, 4)] for f in maps] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    for f in maps:
+        assert all(f.entry(p, q) == 0 for p in range(1, 4) for q in range(1, 4) if p != q)
         assert is_in_kernel(A, f, matrix=M)
 
 
@@ -415,6 +406,49 @@ def test_restrict_rejects_bad_support(named):
         restrict_columns(M, [(0, 1)])
     with pytest.raises(ShapeError):
         restrict_columns(M, [(1, 4)])
+    # a position is a pair of integer indices: no bool, float or triple
+    for bad in [(True, 2)], [(1.5, 1)], [(1, 2, 3)], [5], ["12"]:
+        with pytest.raises(ShapeError):
+            restrict_columns(M, bad)
+    # a restricted matrix only has the columns it kept
+    R = restrict_columns(M, diagonal_support(3))
+    assert restrict_columns(R, [(2, 2)]).rows == [[row[1]] for row in R.rows]
+    with pytest.raises(ShapeError):
+        restrict_columns(R, [(1, 2)])
+
+
+def _supports(n, s):
+    """Diagonal, bidiagonal and two seeded random supports (about a third
+    of the positions each, listed in (p, q) order)."""
+    positions = [(p, q) for p in range(1, n + 1) for q in range(1, n + 1)]
+    rand = [[pq for pq in positions if s.below(3) == 0] or [(1, 1)] for _ in range(2)]
+    return [diagonal_support(n), bidiagonal_support(n), *rand]
+
+
+def test_restricted_systems_match_oracles(fp, qq):
+    # generic algebras (the certificate may fire) and moved Lie algebras
+    # (rank deficient) at n = 4..6, restricted to diag, bidiag and random
+    # supports; rank and nullity against the oracles on the selected columns
+    certified = set()
+    for field in (fp, qq):
+        cases = [random_algebra(n, field, rng.split(66, n), bound=5) for n in (4, 5, 6)]
+        cases += [A for A in moved_lie_algebras(field) if A.dim >= 4]
+        cases.append(moved(lie_algebras(field)["sl2+sl2"], rng.split(67, 0)))
+        for t, A in enumerate(cases):
+            n, M = A.dim, build_matrix(A)
+            for support in _supports(n, rng.stream(68, t)):
+                R = restrict_columns(M, support)
+                assert R.support == tuple(sorted(set(support), key=lambda pq: (pq[1], pq[0])))
+                assert R.rows == [[row[(q - 1) * n + p - 1] for p, q in R.support] for row in M.rows]
+                if _assert_rank_matches_oracle(R):
+                    certified.add(field)
+                maps = kernel_basis(R).maps
+                assert nullity(R) == len(maps)
+                for f in maps:
+                    assert all(f.entry(p, q) == 0 for p in range(1, n + 1) for q in range(1, n + 1)
+                               if (p, q) not in R.support)
+                    assert is_in_kernel(A, f, matrix=M)
+    assert certified == {fp, qq}
 
 
 def test_generic_reduced_rank_is_deterministic(fp):
@@ -427,7 +461,7 @@ def test_generic_reduced_rank_is_deterministic(fp):
 def test_reduced_rank_of_abelian_is_zero(qq):
     A = make_algebra(4, qq, [])
     R = restrict_columns(build_matrix(A), bidiagonal_support(4))
-    assert R.rank() == 0
+    assert rank(R) == 0 and nullity(R) == 7
 
 
 def test_is_hom_lie_examples(named, fp):
