@@ -9,10 +9,11 @@ throughout, matching the file formats.
 from __future__ import annotations
 
 from itertools import combinations
+from operator import mul
 
 from . import linalg, rng
 from .errors import FieldMismatchError, ShapeError
-from .field import Field, Scalar
+from .field import Field, Scalar, _unlift
 
 Vector = tuple
 
@@ -49,18 +50,6 @@ class SkewAlgebra:
             raise ShapeError(f"basis index {i} out of range 1..{self.dim}")
         return tuple(self.field.one if k == i - 1 else self.field.zero for k in range(self.dim))
 
-    def structure_vector(self, i: int, j: int) -> Vector:
-        """mu(e_i, e_j) as a coordinate vector, with the skew extension."""
-        if i == j:
-            return self.zero_vector()
-        if i < j:
-            v = self.constants.get((i, j))
-            return v if v is not None else self.zero_vector()
-        v = self.constants.get((j, i))
-        if v is None:
-            return self.zero_vector()
-        return self.field.vector(-x for x in v)
-
     def multiply(self, x: Vector, y: Vector) -> Vector:
         """Bilinear product of two coordinate vectors: the sum of
         (x_i y_j - x_j y_i) mu(e_i, e_j) over the stored pairs i < j."""
@@ -69,14 +58,7 @@ class SkewAlgebra:
             raise ShapeError(f"vectors must have length {n}")
         f = self.field
         f.check((x, y))
-        out = [f.zero] * n
-        for (i, j), c in self.constants.items():
-            coef = x[i - 1] * y[j - 1] - x[j - 1] * y[i - 1]
-            if coef:
-                for k, ck in enumerate(c):
-                    if ck:
-                        out[k] += coef * ck
-        return f.vector(out)
+        return f.vector(_product(self.constants, x, y, [f.zero] * n))
 
     def jacobiator(self, x: Vector, y: Vector, z: Vector) -> Vector:
         """mu(mu(x,y),z) + mu(mu(y,z),x) + mu(mu(z,x),y)."""
@@ -99,15 +81,23 @@ class SkewAlgebra:
 
         g is the isomorphism from this algebra to the result, so transport
         is a left group action. Raises SingularMatrixError for singular g.
+        It runs on integer lifts of the constants, g and g^-1, and divides
+        each coordinate once.
         """
         _check_compatible(self, g)
-        ginv = g.inverse()
+        f, n = self.field, self.dim
+        C, d = _lift_constants(self)
+        inv, e = f.lift(g.inverse().flatten())
+        img, h = f.lift(g.flatten())
+        inv_cols, img_rows = _split(inv, n), list(zip(*_split(img, n)))
+        den = h * d * e * e
         constants = {}
-        for i, j in combinations(range(1, self.dim + 1), 2):
-            w = g.apply(self.multiply(ginv.column(i), ginv.column(j)))
-            if any(x != self.field.zero for x in w):
-                constants[(i, j)] = w
-        return SkewAlgebra(self.dim, self.field, constants)
+        for i, j in combinations(range(1, n + 1), 2):
+            m = _product(C, inv_cols[i - 1], inv_cols[j - 1], [0] * n)
+            w = _unlift(f, [sum(map(mul, row, m)) for row in img_rows], den)
+            if any(w):
+                constants[(i, j)] = tuple(w)
+        return SkewAlgebra(n, f, constants)
 
 
 class LinearMap:
@@ -192,9 +182,14 @@ class LinearMap:
         return f.vector(out)
 
     def compose(self, other: "LinearMap") -> "LinearMap":
-        """self after other."""
+        """self after other, multiplied on integer lifts of both."""
         _check_same_space(self, other)
-        return LinearMap(self.dim, self.field, [self.apply(other.column(q)) for q in range(1, self.dim + 1)])
+        f, n = self.field, self.dim
+        a, da = f.lift(self.flatten())
+        b, db = f.lift(other.flatten())
+        a_rows = list(zip(*_split(a, n)))
+        return LinearMap(n, f, [_unlift(f, [sum(map(mul, row, col)) for row in a_rows], da * db)
+                                for col in _split(b, n)])
 
     def inverse(self) -> "LinearMap":
         inv_rows = linalg.inverse(self.field, self.rows())
@@ -204,6 +199,32 @@ class LinearMap:
     def is_zero(self) -> bool:
         zero = self.field.zero
         return all(x == zero for col in self.columns for x in col)
+
+
+def _product(constants: dict, x, y, out: list) -> list:
+    """Add mu(x, y) to out, unreduced: the sum of (x_i y_j - x_j y_i)
+    constants[i, j] over the stored pairs i < j."""
+    for (i, j), c in constants.items():
+        coef = x[i - 1] * y[j - 1] - x[j - 1] * y[i - 1]
+        if coef:
+            for k, ck in enumerate(c):
+                if ck:
+                    out[k] += coef * ck
+    return out
+
+
+def _split(flat: list, n: int) -> list:
+    """The n columns of a column-by-column flattening."""
+    return [flat[q * n : (q + 1) * n] for q in range(n)]
+
+
+def _lift_constants(A: SkewAlgebra) -> tuple[dict, int]:
+    """({(i, j): lifted constants}, d): every structure constant of A
+    lifted by one common denominator d (Field.lift)."""
+    n = A.dim
+    keys = list(A.constants)
+    lifted, d = A.field.lift([x for key in keys for x in A.constants[key]])
+    return {key: lifted[t * n : (t + 1) * n] for t, key in enumerate(keys)}, d
 
 
 def _check_same_space(a, b):

@@ -6,12 +6,18 @@ A `Field` object describes, parses, formats and checks scalars, so
 structures built over different fields can be told apart. It does no
 arithmetic: callers check their scalars once on entry (`check`), compute
 on plain values and reduce each result vector once (`vector`).
+
+Over Q the computing values are integers: `lift` scales a vector by the
+common denominator of its entries, callers compute on the `int`s and
+`_unlift` turns a result back into `Fraction`s once, at the output. Over
+F_p `lift` is the identity with denominator 1.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 from typing import Union
 
 from .errors import FieldMismatchError, ReductionError
@@ -91,6 +97,12 @@ class Field:
         """The canonical tuple of plain values computed over this field."""
         raise NotImplementedError
 
+    def lift(self, values) -> tuple[list, int]:
+        """(ints, d) with values == ints / d for a sequence of scalars:
+        over Q d is the lcm of the denominators, over F_p the values come
+        back with d = 1."""
+        raise NotImplementedError
+
 
 class Rationals(Field):
     """Arbitrary-precision rational numbers, eagerly normalized."""
@@ -127,6 +139,12 @@ class Rationals(Field):
 
     def vector(self, values) -> tuple:
         return tuple(values)
+
+    def lift(self, values) -> tuple[list, int]:
+        d = lcm(*{x.denominator for x in values})
+        if d == 1:
+            return [x.numerator for x in values], 1
+        return [x.numerator * (d // x.denominator) for x in values], d
 
 
 class PrimeField(Field):
@@ -166,8 +184,20 @@ class PrimeField(Field):
         p = self.p
         return tuple(x % p for x in values)
 
+    def lift(self, values) -> tuple[list, int]:
+        return list(values), 1
+
 
 QQ = Rationals()
+
+
+def _unlift(field: Field, ints, d: int = 1) -> list:
+    """The field's values of ints / d, undoing `lift`: over Q a list of
+    `Fraction`s sharing one zero, over F_p (where d is 1) residues."""
+    if field.p:
+        return [x % field.p for x in ints]
+    zero = field.zero
+    return [Fraction(x, d) if x else zero for x in ints]
 
 
 def field_from_obj(obj) -> Field:

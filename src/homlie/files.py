@@ -134,6 +134,8 @@ def load_json(path: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ValueError(f"{path}: JSON nested too deeply") from exc
 
 
 def load_algebra(path: str) -> SkewAlgebra:

@@ -5,39 +5,43 @@ with a nonzero entry in the leftmost unresolved column": with exact
 arithmetic no magnitude heuristics are needed and output is deterministic.
 
 Every public function checks its scalars once, on entry, and then works on
-plain values: `int` residues reduced mod p over a prime field, `Fraction`s
-over Q. All row reduction runs through one core, `_eliminate`.
+plain values: `int` residues reduced mod p over a prime field. Over Q each
+row is scaled to integers by the lcm of its denominators, which keeps its
+row space, rank and RREF, and elimination runs on Python `int`s; `rref`
+and `det` make `Fraction`s only for their results. All row reduction runs
+through one core, `_eliminate`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, prod
 
 from .errors import ShapeError, SingularMatrixError
 from .field import Field, Scalar
 
 
 def _plain(field: Field, mat: list) -> tuple[int, list]:
-    """Checked copy of mat: residues mod p over F_p, `Fraction`s over Q.
-
-    Over Q every `int` becomes a `Fraction`, so no later division is
-    int / int.
-    """
+    """Checked copy of mat: residues mod p over F_p; over Q every row
+    lifted to integers (a nonzero multiple of the row)."""
     field.check(mat)
     p = field.p
     if p:
         return p, [[x % p for x in row] for row in mat]
-    return 0, [[x if type(x) is Fraction else Fraction(x) for x in row] for row in mat]
+    return 0, [field.lift(row)[0] for row in mat]
 
 
 def _eliminate(rows: list, ncols: int, p: int, full: bool) -> tuple[list[int], list, int]:
     """Row-reduce rows in place; p is the modulus, or 0 over Q.
 
-    Each pivot row is scaled to a leading one and cleared from the rows
-    below it, or from every other row when `full` is set (Gauss-Jordan,
-    leaving the RREF). Returns (pivot columns, pivot values before
-    scaling, number of row swaps).
+    Each pivot row is cleared from the rows below it, or from every other
+    row when `full` is set (Gauss-Jordan). Over F_p the pivot row is first
+    scaled to a leading one, so `full` leaves the RREF. Over Q the rows are
+    integers and stay so: a row with entry f in the pivot column becomes
+    (a * row - b * top) / content, with a = piv / g, b = f / g and
+    g = gcd(piv, f); `full` leaves the RREF up to one nonzero factor per
+    row. Returns (pivot columns, pivot values before scaling, number of
+    row swaps).
     """
     nrows = len(rows)
     pivots, values = [], []
@@ -58,9 +62,6 @@ def _eliminate(rows: list, ncols: int, p: int, full: bool) -> tuple[list[int], l
         if p:
             inv = pow(piv, -1, p)
             top[c:] = [x * inv % p for x in top[c:]]
-        else:
-            inv = 1 / piv
-            top[c:] = [x * inv if x else x for x in top[c:]]
         nz = [(j, top[j]) for j in range(c, ncols) if top[j]]
         for i in range(0 if full else r + 1, nrows):
             ri = rows[i]
@@ -71,8 +72,16 @@ def _eliminate(rows: list, ncols: int, p: int, full: bool) -> tuple[list[int], l
                 for j, x in nz:
                     ri[j] = (ri[j] - f * x) % p
             else:
+                g = gcd(piv, f)
+                a, b = piv // g, f // g
+                if a != 1:
+                    ri = [a * x for x in ri]
                 for j, x in nz:
-                    ri[j] -= f * x
+                    ri[j] -= b * x
+                content = gcd(*ri)
+                if content > 1:
+                    ri = [x // content for x in ri]
+                rows[i] = ri
         pivots.append(c)
         values.append(piv)
         r += 1
@@ -80,9 +89,17 @@ def _eliminate(rows: list, ncols: int, p: int, full: bool) -> tuple[list[int], l
 
 
 def rref(field: Field, mat: list) -> tuple[list, list[int]]:
-    """Reduced row-echelon form. Returns (rows, pivot_columns)."""
+    """Reduced row-echelon form. Returns (rows, pivot_columns).
+
+    Over Q each pivot row is divided by its pivot once, at the end.
+    """
     p, rows = _plain(field, mat)
     pivots, _, _ = _eliminate(rows, len(rows[0]) if rows else 0, p, True)
+    if not p:
+        zero = field.zero
+        for r, row in enumerate(rows):
+            piv = row[pivots[r]] if r < len(pivots) else 1
+            rows[r] = [Fraction(x, piv) if x else zero for x in row]
     return rows, pivots
 
 
@@ -177,25 +194,25 @@ def det(field: Field, mat: list) -> Scalar:
     """Exact determinant; empty matrix has determinant one.
 
     Over F_p it is the signed product of the elimination pivots. Rational
-    matrices are lifted to integers row by row (common denominator) and
-    handed to Bareiss.
+    matrices are lifted to integers row by row and handed to Bareiss; the
+    product of the row denominators is divided out at the end.
     """
     n = len(mat)
     if n == 0:
         return field.one
     if any(len(r) != n for r in mat):
         raise ShapeError("determinant needs a square matrix")
-    p, rows = _plain(field, mat)
-    if p:
+    if field.p:
+        p, rows = _plain(field, mat)
         pivots, values, swaps = _eliminate(rows, n, p, False)
         if len(pivots) < n:
             return 0
         return (-1) ** swaps * prod(values) % p
-    # rational: clear denominators, integer Bareiss, undo the row scaling
+    field.check(mat)
     scale = 1
     lifted = []
-    for row in rows:
-        mult = lcm(*(x.denominator for x in row))
-        scale *= mult
-        lifted.append([x.numerator * (mult // x.denominator) for x in row])
+    for row in mat:
+        ints, d = field.lift(row)
+        scale *= d
+        lifted.append(ints)
     return Fraction(det_bareiss_int(lifted), scale)

@@ -24,21 +24,29 @@ kernel. Twisting maps of a given shape only select unknowns:
 `rank`, `nullity` and `kernel_basis` serve it like the full matrix.
 
 `build_matrix` computes each block mu(mu(e_u,e_v), e_p) once and refuses
-matrices above MAX_ENTRIES entries. `rank` and `kernel_basis` first try a
-one-sided certificate: full column rank of the n^2 rows of the n cyclic
-triples proves full column rank of M (over Q, via their image mod one
-fixed prime). Otherwise the full exact elimination decides.
+matrices above MAX_ENTRIES entries. Over Q it lifts the constants to
+integers by their common denominator d; M is quadratic in them, so it
+stores the integer rows d^2 M, which rank, kernel, membership, the
+certificate and the determinant read; `rows` makes `Fraction`s only when
+read. `rank` and `kernel_basis` first try a one-sided certificate: full
+column rank of the n^2 rows of the n cyclic triples proves full column
+rank of M (over Q, via the integer rows mod one fixed prime). Otherwise
+the full exact elimination decides.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 from . import linalg
-from .algebra import LinearMap, SkewAlgebra, Vector, _check_compatible, _position
+
+from .algebra import (LinearMap, SkewAlgebra, Vector, _check_compatible, _lift_constants,
+                      _position)
 from .errors import ShapeError
-from .field import Field, PrimeField, Scalar
+from .field import Field, PrimeField, Scalar, _unlift
 
 # Largest matrix build_matrix allocates, in entries (rows x columns): above
 # it the dense matrix and its elimination would take unbounded memory. The
@@ -57,19 +65,33 @@ def triple_count(n: int) -> int:
 class HomJacobiMatrix:
     """Dense exact matrix of the Hom-Jacobi system, with frozen ordering.
     Column c holds the unknown a_{p,q}, (p, q) = support[c], in (q, p)
-    order: all n^2 positions, or those kept by restrict_columns."""
+    order: all n^2 positions, or those kept by restrict_columns.
 
-    __slots__ = ("dim", "field", "rows", "support")
+    The entries are int_rows / scale: over Q `int_rows` are integers and
+    scale a positive integer, over F_p they are the residues and scale 1.
+    """
 
-    def __init__(self, dim: int, field: Field, rows, support):
+    __slots__ = ("dim", "field", "int_rows", "scale", "support", "_rows")
+
+    def __init__(self, dim: int, field: Field, int_rows, scale: int, support):
         self.dim = dim
         self.field = field
-        self.rows = rows
+        self.int_rows = int_rows
+        self.scale = scale
         self.support = support
+        self._rows = int_rows if field.p else None
+
+    @property
+    def rows(self) -> list:
+        """The entries as values of the field; over Q `Fraction`s sharing
+        one zero, built on first read."""
+        if self._rows is None:
+            self._rows = [_unlift(self.field, row, self.scale) for row in self.int_rows]
+        return self._rows
 
     @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return len(self.int_rows)
 
     @property
     def ncols(self) -> int:
@@ -81,37 +103,57 @@ class HomJacobiMatrix:
             and self.dim == other.dim
             and self.field == other.field
             and self.support == other.support
-            and self.rows == other.rows
+            and (self.int_rows == other.int_rows if self.scale == other.scale
+                 else self.rows == other.rows)
         )
 
     def __repr__(self):
         return f"HomJacobiMatrix(dim={self.dim}, shape={self.nrows}x{self.ncols})"
+
+    def _products(self, flat) -> tuple:
+        """(the int_rows times the lifted flat, unreduced; the lift's
+        denominator)."""
+        v, d = self.field.lift(flat)
+        return (sum(map(mul, row, v)) for row in self.int_rows), d
 
     def apply(self, flat) -> list:
         """M times a vector of its unknowns (for the full matrix, a
         flattened endomorphism)."""
         if len(flat) != self.ncols:
             raise ShapeError(f"vector must have length {self.ncols}")
-        return linalg.mat_vec(self.field, self.rows, flat)
+        self.field.check((flat,))
+        products, d = self._products(flat)
+        return _unlift(self.field, products, self.scale * d)
 
 
-def product_block(A: SkewAlgebra, i: int, j: int, k: int) -> Vector:
-    """mu(mu(e_i,e_j), e_k) straight from the structure constants.
+def _block(C: dict, i: int, j: int, k: int, out: list) -> list:
+    """Add mu(mu(e_i,e_j), e_k) to out, unreduced, from a table C of
+    constants {(u, v): mu(e_u, e_v) for u < v}.
 
     Coordinate l is sum_s C_{i,j}^s C_{s,k}^l with the skew extension for
     unordered index pairs: for s > k the stored C_{k,s} is subtracted.
     """
-    f = A.field
-    out = [f.zero] * A.dim
-    for s, cs in enumerate(A.structure_vector(i, j), 1):
+    cij = C.get((i, j) if i < j else (j, i)) if i != j else None
+    if cij is None:
+        return out
+    sign = 1 if i < j else -1
+    for s, cs in enumerate(cij, 1):
         if not cs or s == k:
             continue
-        vec = A.constants.get((s, k) if s < k else (k, s), ())
-        c = cs if s < k else -cs
+        vec = C.get((s, k) if s < k else (k, s))
+        if vec is None:
+            continue
+        c = sign * cs if s < k else -sign * cs
         for l, x in enumerate(vec):
             if x:
                 out[l] += c * x
-    return f.vector(out)
+    return out
+
+
+def product_block(A: SkewAlgebra, i: int, j: int, k: int) -> Vector:
+    """mu(mu(e_i,e_j), e_k) straight from the structure constants."""
+    f = A.field
+    return f.vector(_block(A.constants, i, j, k, [f.zero] * A.dim))
 
 
 def check_size(n: int) -> None:
@@ -130,19 +172,21 @@ def build_matrix(A: SkewAlgebra) -> HomJacobiMatrix:
 
     For n < 3 there are no triples and the matrix has zero rows (every
     endomorphism is a twisting map). Each block mu(mu(e_u,e_v), e_p) is
-    computed once, for u < v; the (v, u) block is its negation. Raises
-    ShapeError above MAX_ENTRIES entries, before allocating anything.
+    computed once, for u < v; the (v, u) block is its negation. Over Q the
+    blocks are computed on the constants lifted by their common
+    denominator d, so the rows are the integers d^2 M. Raises ShapeError
+    above MAX_ENTRIES entries, before allocating anything.
     """
     n = A.dim
     check_size(n)
     f = A.field
-    zero = f.zero
+    C, d = _lift_constants(A)
     blocks = {}
     for u, v in combinations(range(1, n + 1), 2):
-        blocks[u, v] = [product_block(A, u, v, p) for p in range(1, n + 1)]
+        blocks[u, v] = [f.vector(_block(C, u, v, p, [0] * n)) for p in range(1, n + 1)]
         blocks[v, u] = [f.vector(-x for x in blk) for blk in blocks[u, v]]
     triples = list(combinations(range(1, n + 1), 3))
-    rows = [[zero] * (n * n) for _ in range(len(triples) * n)]
+    rows = [[0] * (n * n) for _ in range(len(triples) * n)]
     for t, (i, j, k) in enumerate(triples):
         out = rows[t * n : (t + 1) * n]
         for q, pair in ((i, (j, k)), (j, (k, i)), (k, (i, j))):
@@ -153,7 +197,7 @@ def build_matrix(A: SkewAlgebra) -> HomJacobiMatrix:
                         row[col] = x
                 col += 1
     support = tuple((p, q) for q in range(1, n + 1) for p in range(1, n + 1))
-    return HomJacobiMatrix(n, f, rows, support)
+    return HomJacobiMatrix(n, f, rows, d * d, support)
 
 
 def hom_jacobi_defect(A: SkewAlgebra, f: LinearMap) -> list:
@@ -174,11 +218,17 @@ def hom_jacobi_defect(A: SkewAlgebra, f: LinearMap) -> list:
 
 
 def is_in_kernel(A: SkewAlgebra, f: LinearMap, matrix: HomJacobiMatrix | None = None) -> bool:
-    """True iff the flattened map is annihilated by the Hom-Jacobi matrix."""
+    """True iff the flattened map is annihilated by the Hom-Jacobi matrix:
+    the lifted flattening (checked when the map was made) dotted with the
+    integer rows, up to the first nonzero product."""
     _check_compatible(A, f)
     M = matrix if matrix is not None else build_matrix(A)
-    zero = A.field.zero
-    return all(x == zero for x in M.apply(f.flatten()))
+    flat = f.flatten()
+    if len(flat) != M.ncols:
+        raise ShapeError(f"vector must have length {M.ncols}")
+    p = A.field.p
+    products, _ = M._products(flat)
+    return not any(x % p if p else x for x in products)
 
 
 @dataclass
@@ -199,9 +249,10 @@ def _full_rank_certified(M: HomJacobiMatrix) -> bool:
     The row blocks of the n cyclic triples {i, i+1, i+2} (indices mod n),
     distinct for n >= 4, form an n^2-row submatrix S, and full column rank
     of S gives M full column rank; for the full matrix S is square. Over
-    F_p, S is eliminated as it is. Over Q it is reduced mod a fixed prime
-    P, unless P divides a denominator: rank_P(S mod P) <= rank_Q(S) <=
-    rank_Q(M). False means "not certified", never "rank deficient".
+    F_p, S is eliminated as it is. Over Q its integer rows are reduced mod
+    a fixed prime P: rank_P(S mod P) <= rank_Q of the integer rows, which
+    is rank_Q(S) <= rank_Q(M). False means "not certified", never "rank
+    deficient".
     """
     n = M.dim
     if n < 4:
@@ -210,16 +261,8 @@ def _full_rank_certified(M: HomJacobiMatrix) -> bool:
     S = []
     for i in range(1, n + 1):
         t = triples.index(tuple(sorted((i, i % n + 1, (i + 1) % n + 1))))
-        S += M.rows[t * n : (t + 1) * n]
-    if M.field.p:
-        return linalg.rank(M.field, S) == M.ncols
-    M.field.check(S)
-    P = _CERTIFICATE_FIELD.p
-    if any(x.denominator % P == 0 for row in S for x in row):
-        return False
-    S = [[x.numerator * pow(x.denominator, -1, P) % P if x.denominator != 1 else x.numerator % P
-          for x in row] for row in S]
-    return linalg.rank(_CERTIFICATE_FIELD, S) == M.ncols
+        S += M.int_rows[t * n : (t + 1) * n]
+    return linalg.rank(M.field if M.field.p else _CERTIFICATE_FIELD, S) == M.ncols
 
 
 def kernel_basis(M: HomJacobiMatrix) -> KernelBasis:
@@ -230,7 +273,7 @@ def kernel_basis(M: HomJacobiMatrix) -> KernelBasis:
         return KernelBasis(M.dim)
     n = M.dim
     maps = []
-    for v in linalg.nullspace(M.field, M.rows, M.ncols):
+    for v in linalg.nullspace(M.field, M.int_rows, M.ncols):
         flat = [M.field.zero] * (n * n)
         for (p, q), x in zip(M.support, v):
             flat[(q - 1) * n + (p - 1)] = x
@@ -241,7 +284,7 @@ def kernel_basis(M: HomJacobiMatrix) -> KernelBasis:
 def rank(M: HomJacobiMatrix) -> int:
     if _full_rank_certified(M):
         return M.ncols
-    return linalg.rank(M.field, M.rows)
+    return linalg.rank(M.field, M.int_rows)
 
 
 def nullity(M: HomJacobiMatrix) -> int:
@@ -253,7 +296,8 @@ def determinant(M: HomJacobiMatrix) -> Scalar:
 
     The matrix is square exactly for n = 4 (16 x 16); for n <= 2 it has no
     rows and the empty determinant is 1. Any other size is an error: the
-    rank/nullity route decides membership there.
+    rank/nullity route decides membership there. Over Q it is the Bareiss
+    determinant of the integer rows divided by scale^N.
     """
     if M.nrows == 0:
         return M.field.one
@@ -262,7 +306,9 @@ def determinant(M: HomJacobiMatrix) -> Scalar:
             f"matrix is {M.nrows}x{M.ncols}, not square; "
             "the determinant criterion only applies to dimension 4 - use rank instead"
         )
-    return linalg.det(M.field, M.rows)
+    if M.field.p:
+        return linalg.det(M.field, M.int_rows)
+    return Fraction(linalg.det_bareiss_int(M.int_rows), M.scale ** M.nrows)
 
 
 def is_hom_lie(A: SkewAlgebra) -> tuple[bool, LinearMap | None]:
@@ -306,5 +352,5 @@ def restrict_columns(M: HomJacobiMatrix, support) -> HomJacobiMatrix:
         raise ShapeError(f"support {sorted(chosen)} is empty or not within the matrix's columns")
     ordered = tuple(sorted(chosen, key=lambda pq: (pq[1], pq[0])))
     cols = [index[pq] for pq in ordered]
-    rows = [[row[c] for c in cols] for row in M.rows]
-    return HomJacobiMatrix(M.dim, M.field, rows, ordered)
+    rows = [[row[c] for c in cols] for row in M.int_rows]
+    return HomJacobiMatrix(M.dim, M.field, rows, M.scale, ordered)

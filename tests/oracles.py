@@ -139,3 +139,87 @@ def mat_vec(rows, v, p: int = 0) -> list:
     """Plain matrix-vector product, exact over Q (p = 0) or mod p."""
     out = [sum((Fraction(a) * Fraction(b) for a, b in zip(row, v)), Fraction(0)) for row in rows]
     return [int(x) % p for x in out] if p else out
+
+
+def rref_fraction(rows) -> tuple[list, list]:
+    """Reduced row-echelon form over Q by plain fraction Gauss-Jordan.
+
+    Returns (rows, pivot columns); every entry is a `Fraction`.
+    """
+    m = [[Fraction(x) for x in row] for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [a / m[r][c] for a in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def nullspace_fraction(rows, ncols: int) -> list:
+    """Kernel basis over Q, one vector per free column of the RREF (free
+    coordinate 1, other free coordinates 0)."""
+    red, pivots = rref_fraction(rows)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -red[r][free]
+        basis.append(v)
+    return basis
+
+
+def det_fraction(rows) -> Fraction:
+    """Determinant over Q by fraction elimination with row swaps."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    n = len(m)
+    d = Fraction(1)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            d = -d
+        d *= m[c][c]
+        for i in range(c + 1, n):
+            f = m[i][c] / m[c][c]
+            m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return d
+
+
+def hom_jacobi_rows(constants, n: int) -> list:
+    """The Hom-Jacobi matrix over Q from its definition, in `Fraction`s.
+
+    Row (T, l) for the T-th triple i < j < k in lex order, column
+    (q - 1) * n + (p - 1): coordinate l of mu(mu(e_j,e_k), e_p) if q = i,
+    of mu(mu(e_k,e_i), e_p) if q = j, of mu(mu(e_i,e_j), e_p) if q = k.
+    """
+    def e(i):
+        return [int(k == i) for k in range(1, n + 1)]
+
+    def block(a, b, p):
+        return skew_product(constants, n, skew_product(constants, n, e(a), e(b)), e(p))
+
+    rows = []
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            for k in range(j + 1, n + 1):
+                out = [[Fraction(0)] * (n * n) for _ in range(n)]
+                for q, (a, b) in ((i, (j, k)), (j, (k, i)), (k, (i, j))):
+                    for p in range(1, n + 1):
+                        for l, x in enumerate(block(a, b, p)):
+                            out[l][(q - 1) * n + p - 1] = x
+                rows += out
+    return rows

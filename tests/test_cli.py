@@ -301,6 +301,8 @@ def test_malformed_json_is_input_error(capsys, tmp_path):
     # ARABIC-INDIC DIGIT THREE: a digit, but the literal grammar is ASCII
     '{"dim": 3, "field": {"kind": "rational"}, "products": [{"left": 1, "right": 2, "coeffs": ["\u0663","0","1"]}]}',
     '{"dim": 3, "field": {"kind": "prime", "p": 7}, "products": [{"left": 1, "right": 2, "coeffs": ["\u0663","0","1"]}]}',
+    # nested past the parser's recursion limit
+    pytest.param("[" * 200_000 + "]" * 200_000, id="deeply-nested-array"),
 ])
 def test_fuzz_corpus_of_malformed_files(capsys, tmp_path, payload):
     bad = tmp_path / "fuzz.json"

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from homlie import FieldMismatchError, PrimeField, ReductionError, is_prime, reduce_mod
-from homlie.field import QQ, field_from_obj
+from homlie.field import QQ, _unlift, field_from_obj
 from homlie import rng
 
 
@@ -67,6 +67,24 @@ def test_vector_is_the_one_reduction(qq, f7):
     x = (Fraction(-7, 3), 2, Fraction(0))
     assert qq.vector(iter(x)) == x
     assert (qq.p, f7.p) == (0, 7)
+
+
+def test_lift_is_the_common_denominator_scaling(qq, f7):
+    assert qq.lift([Fraction(1, 2), Fraction(-2, 3), 5, Fraction(0)]) == ([3, -4, 30, 0], 6)
+    assert qq.lift([Fraction(4), 7, Fraction(0)]) == ([4, 7, 0], 1)
+    assert qq.lift([]) == ([], 1)
+    assert f7.lift((3, 0, 6)) == ([3, 0, 6], 1)
+    big = 10**30 + 57
+    ints, d = qq.lift([Fraction(1, big), Fraction(1, 1073741789), Fraction(5, 3)])
+    assert d == big * 1073741789 * 3
+    assert all(type(x) is int for x in ints)
+    s = rng.stream(19, 0)
+    for _ in range(50):
+        values = [Fraction(s.randint(-9, 9), s.randint(1, 40)) for _ in range(s.randint(1, 8))]
+        ints, d = qq.lift(values)
+        back = _unlift(qq, ints, d)
+        assert back == values and all(type(x) is Fraction for x in back)
+        assert _unlift(f7, [x * 3 for x in ints]) == [x * 3 % 7 for x in ints]
 
 
 def test_field_mismatch_is_detected(qq, f7):

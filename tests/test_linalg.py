@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -177,6 +178,22 @@ def test_rational_int_matrices_stay_exact():
     assert inv == [[Fraction(-5, 2), Fraction(3, 2)], [2, -1]]
     for x in (x for m in (red, basis, inv) for row in m for x in row):
         assert type(x) in (int, Fraction)
+
+
+def test_rational_elimination_keeps_entries_minor_sized():
+    # each row the Q core updates is divided by its content, so it stays a
+    # primitive multiple of a row of minors of the input and every entry is
+    # within the Hadamard bound; without the division the bit length
+    # doubles with every pivot
+    s = rng.stream(17, 0)
+    for full in (False, True):
+        for _ in range(5):
+            m = _random_int_matrix(s, 14, 12)
+            bound = prod(max(1, sum(x * x for x in row)) for row in m)  # Hadamard bound, squared
+            rows = [list(row) for row in m]
+            linalg._eliminate(rows, 12, 0, full)
+            assert all(x * x <= bound for row in rows for x in row)
+            assert rows != m
 
 
 FP = PrimeField(10007)

@@ -271,7 +271,9 @@ def test_certificate_falls_back_when_the_minor_is_singular():
     assert fallbacks > 0
 
 
-def test_certificate_is_skipped_for_its_prime_in_a_denominator(qq):
+def test_certificate_is_sound_with_its_prime_in_a_denominator(qq):
+    # the certificate reduces the integer rows mod its prime P whatever the
+    # denominators: it may fail to fire, but never claims full rank falsely
     A = random_algebra(5, qq, seed=65, bound=5)
     (i, j), vec = next(iter(A.constants.items()))
     scaled = dict(A.constants)
@@ -280,9 +282,19 @@ def test_certificate_is_skipped_for_its_prime_in_a_denominator(qq):
     M = build_matrix(B)
     assert _full_rank_certified(build_matrix(A))
     assert any(x.denominator % CERTIFICATE_PRIME == 0 for row in M.rows for x in row)
-    assert not _full_rank_certified(M)
+    assert _assert_rank_matches_oracle(M) is False
     assert rank(M) == rank_fraction(M.rows) == M.ncols
     assert kernel_basis(M).nullity == 0
+    # dividing every constant by P scales M by 1/P^2 and leaves the integer
+    # rows as they were, so the certificate fires exactly as for A
+    C = make_algebra(5, qq, [(i, j, [x / CERTIFICATE_PRIME for x in v])
+                             for (i, j), v in A.constants.items()])
+    assert _assert_rank_matches_oracle(build_matrix(C)) is True
+    # a rank-deficient algebra with P in every denominator is never certified
+    for D in moved_lie_algebras(qq):
+        D = make_algebra(D.dim, qq, [(i, j, [x / CERTIFICATE_PRIME for x in v])
+                                     for (i, j), v in D.constants.items()])
+        assert _assert_rank_matches_oracle(build_matrix(D)) is False
 
 
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
