@@ -4,9 +4,12 @@
 `check`, `kernel`, `det`, `matrix --format json` and `restrict` (bidiag,
 diag, an unsorted mixed pattern, a pattern with a duplicate entry and the
 full support) run on every algebra file in `fixtures/` and on every
-catalog algebra written out over Q and over F_10007. `check` and the
-non-full `restrict` patterns also run on seeded moved Lie algebras and
-random algebras at n = 5..6 over Q. `sample` runs at n = 3..5.
+catalog algebra written out over Q and over F_10007. On the same files
+`verify` checks the identity, a seeded random map and a kernel witness
+(the zero map when the kernel is trivial), and `transport` moves the
+algebra along a seeded invertible map and along a singular one (exit 1).
+`check` and the non-full `restrict` patterns also run on seeded moved Lie
+algebras and random algebras at n = 5..6 over Q. `sample` runs at n = 3..5.
 `tests/test_cli.py` replays them. To regenerate the fixture after an
 intended output change, run from the root of a checkout:
 
@@ -29,6 +32,15 @@ COMMANDS = (
     ("restrict", "--support", "diag"),
     ("restrict", "--support", "3,1;1,1;2,3;1,2"),
     ("restrict", "--support", "2,2;1,1;2,2;3,1"),
+)
+
+# (command, map) pairs run on every fixture and catalog file
+MAP_COMMANDS = (
+    ("verify", "identity"),
+    ("verify", "random"),
+    ("verify", "witness"),
+    ("transport", "invertible"),
+    ("transport", "singular"),
 )
 
 # check and the restricted systems on larger rational inputs; their
@@ -65,6 +77,32 @@ def algebra_files(workdir: pathlib.Path) -> list[tuple[str, str, int]]:
     return out
 
 
+def map_files(workdir: pathlib.Path, label: str, path: str, seed: int) -> dict:
+    """{name: path} of the maps `verify` and `transport` read for one
+    algebra file, written into workdir and seeded by `seed`."""
+    from homlie import (LinearMap, build_matrix, files, kernel_basis, random_invertible_map,
+                        random_linear_map, rng)
+
+    A = files.load_algebra(path)
+    n, fld = A.dim, A.field
+    basis = kernel_basis(build_matrix(A))
+    random = random_linear_map(n, fld, rng.split(seed, 0), bound=5)
+    maps = {
+        "identity": LinearMap.identity(n, fld),
+        "random": random,
+        "witness": basis.maps[0] if basis.nullity else LinearMap.zero(n, fld),
+        "invertible": random_invertible_map(n, fld, rng.split(seed, 1), bound=4),
+        # the last column repeats the first
+        "singular": LinearMap(n, fld, [*random.columns[:-1], random.columns[0]]),
+    }
+    out = {}
+    for name, f in maps.items():
+        mpath = workdir / f"{label.replace('/', '-')}-{name}.map.json"
+        mpath.write_text(json.dumps(files.map_to_obj(f)), encoding="utf-8")
+        out[name] = str(mpath)
+    return out
+
+
 def large_algebra_files(workdir: pathlib.Path) -> list[tuple[str, str]]:
     """(label, path) for seeded moved Lie and random algebras at n = 5..6 over Q."""
     from homlie import QQ, random_algebra, rng
@@ -80,11 +118,14 @@ def large_algebra_files(workdir: pathlib.Path) -> list[tuple[str, str]]:
 def invocations(workdir: pathlib.Path) -> list[tuple[str, list[str]]]:
     """(key, argv) for every pinned invocation, in a fixed order."""
     out = []
-    for label, path, dim in algebra_files(workdir):
+    for t, (label, path, dim) in enumerate(algebra_files(workdir)):
         full = ";".join(f"{p},{q}" for p in range(1, dim + 1) for q in range(1, dim + 1))
         for command in (*COMMANDS, ("restrict", "--support", full)):
             argv = [command[0], path, *command[1:]]
             out.append((" ".join([command[0], label, *command[1:]]), argv))
+        maps = map_files(workdir, label, path, seed=72 + t)
+        for command, name in MAP_COMMANDS:
+            out.append((f"{command} {label} {name}", [command, path, maps[name]]))
     for label, path in large_algebra_files(workdir):
         for command in LARGE_COMMANDS:
             argv = [command[0], path, *command[1:]]
