@@ -158,12 +158,6 @@ class LinearMap:
         """a_{p,q}: the e_p-coordinate of f(e_q), 1-based."""
         return self.columns[q - 1][p - 1]
 
-    def column(self, q: int) -> Vector:
-        return self.columns[q - 1]
-
-    def rows(self) -> list:
-        return [[self.columns[q][p] for q in range(self.dim)] for p in range(self.dim)]
-
     def flatten(self) -> list:
         """Column-by-column flattening; slot (q-1)*n + (p-1) is a_{p,q}."""
         return [x for col in self.columns for x in col]
@@ -192,9 +186,9 @@ class LinearMap:
                                 for col in _split(b, n)])
 
     def inverse(self) -> "LinearMap":
-        inv_rows = linalg.inverse(self.field, self.rows())
-        cols = [[inv_rows[p][q] for p in range(self.dim)] for q in range(self.dim)]
-        return LinearMap(self.dim, self.field, cols)
+        """The inverse map. Its columns are the rows of the inverse of the
+        matrix whose rows are self's columns, since (g^T)^-1 = (g^-1)^T."""
+        return LinearMap(self.dim, self.field, linalg.inverse(self.field, self.columns))
 
     def is_zero(self) -> bool:
         zero = self.field.zero
@@ -317,5 +311,5 @@ def random_invertible_map(dim: int, field: Field, seed: int, bound: int = 10) ->
     s = rng.stream(seed, 0)
     while True:
         g = LinearMap(dim, field, [[draw(s) for _ in range(dim)] for _ in range(dim)])
-        if linalg.rank(field, g.rows()) == dim:
+        if linalg.rank(field, g.columns) == dim:
             return g

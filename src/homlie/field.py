@@ -120,13 +120,9 @@ class Rationals(Field):
         return {"kind": "rational"}
 
     def element(self, value) -> Fraction:
-        """Coerce an int, Fraction or (num, den) pair to canonical form."""
-        if isinstance(value, bool):
-            raise FieldMismatchError(f"not a rational scalar: {value!r}")
-        if isinstance(value, (int, Fraction)):
+        """Coerce an int or Fraction to canonical form."""
+        if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
             return Fraction(value)
-        if isinstance(value, tuple) and len(value) == 2:
-            return Fraction(value[0], value[1])
         raise FieldMismatchError(f"not a rational scalar: {value!r}")
 
     def parse(self, text: str) -> Fraction:

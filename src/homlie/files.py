@@ -127,13 +127,15 @@ def kernel_to_obj(maps) -> list:
 
 
 def load_json(path: str):
-    """Parse a JSON file with a position-annotated error message."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    """Parse a JSON file; every parse error names the file, and a syntax
+    error its position."""
     try:
-        return json.loads(text)
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.loads(fh.read())
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # not UTF-8, or an integer above the digit limit
+        raise ValueError(f"{path}: {exc}") from exc
     except RecursionError as exc:
         raise ValueError(f"{path}: JSON nested too deeply") from exc
 

@@ -9,16 +9,18 @@ plain values: `int` residues reduced mod p over a prime field. Over Q each
 row is scaled to integers by the lcm of its denominators, which keeps its
 row space, rank and RREF, and elimination runs on Python `int`s; `rref`
 and `det` make `Fraction`s only for their results. All row reduction runs
-through one core, `_eliminate`.
+through one core, `_eliminate`, and every determinant is the Bareiss
+determinant of the integer lift, `det_bareiss_int`: it is exact over Z,
+so over F_p the integer determinant of the residues, reduced mod p, is
+the determinant.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, prod
+from math import gcd
 
 from .errors import ShapeError, SingularMatrixError
-from .field import Field, Scalar
+from .field import Field, Scalar, _unlift
 
 
 def _plain(field: Field, mat: list) -> tuple[int, list]:
@@ -31,7 +33,7 @@ def _plain(field: Field, mat: list) -> tuple[int, list]:
     return 0, [field.lift(row)[0] for row in mat]
 
 
-def _eliminate(rows: list, ncols: int, p: int, full: bool) -> tuple[list[int], list, int]:
+def _eliminate(rows: list, ncols: int, p: int, full: bool) -> list[int]:
     """Row-reduce rows in place; p is the modulus, or 0 over Q.
 
     Each pivot row is cleared from the rows below it, or from every other
@@ -40,12 +42,10 @@ def _eliminate(rows: list, ncols: int, p: int, full: bool) -> tuple[list[int], l
     integers and stay so: a row with entry f in the pivot column becomes
     (a * row - b * top) / content, with a = piv / g, b = f / g and
     g = gcd(piv, f); `full` leaves the RREF up to one nonzero factor per
-    row. Returns (pivot columns, pivot values before scaling, number of
-    row swaps).
+    row. Returns the pivot columns.
     """
     nrows = len(rows)
-    pivots, values = [], []
-    swaps = 0
+    pivots = []
     r = 0
     for c in range(ncols):
         if r == nrows:
@@ -53,9 +53,7 @@ def _eliminate(rows: list, ncols: int, p: int, full: bool) -> tuple[list[int], l
         pr = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pr is None:
             continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-            swaps += 1
+        rows[r], rows[pr] = rows[pr], rows[r]
         top = rows[r]
         piv = top[c]
         # columns left of c are zero in the pivot row, so only its tail moves
@@ -83,9 +81,8 @@ def _eliminate(rows: list, ncols: int, p: int, full: bool) -> tuple[list[int], l
                     ri = [x // content for x in ri]
                 rows[i] = ri
         pivots.append(c)
-        values.append(piv)
         r += 1
-    return pivots, values, swaps
+    return pivots
 
 
 def rref(field: Field, mat: list) -> tuple[list, list[int]]:
@@ -94,19 +91,17 @@ def rref(field: Field, mat: list) -> tuple[list, list[int]]:
     Over Q each pivot row is divided by its pivot once, at the end.
     """
     p, rows = _plain(field, mat)
-    pivots, _, _ = _eliminate(rows, len(rows[0]) if rows else 0, p, True)
+    pivots = _eliminate(rows, len(rows[0]) if rows else 0, p, True)
     if not p:
-        zero = field.zero
-        for r, row in enumerate(rows):
-            piv = row[pivots[r]] if r < len(pivots) else 1
-            rows[r] = [Fraction(x, piv) if x else zero for x in row]
+        rows = [_unlift(field, row, row[pivots[r]] if r < len(pivots) else 1)
+                for r, row in enumerate(rows)]
     return rows, pivots
 
 
 def rank(field: Field, mat: list) -> int:
     """Exact rank by forward elimination (cheaper than full RREF)."""
     p, rows = _plain(field, mat)
-    return len(_eliminate(rows, len(rows[0]) if rows else 0, p, False)[0])
+    return len(_eliminate(rows, len(rows[0]) if rows else 0, p, False))
 
 
 def nullspace(field: Field, mat: list, ncols: int) -> list[list]:
@@ -193,21 +188,13 @@ def det_bareiss_int(mat: list) -> int:
 def det(field: Field, mat: list) -> Scalar:
     """Exact determinant; empty matrix has determinant one.
 
-    Over F_p it is the signed product of the elimination pivots. Rational
-    matrices are lifted to integers row by row and handed to Bareiss; the
-    product of the row denominators is divided out at the end.
+    The matrix is lifted to integers row by row and handed to Bareiss; over
+    Q the product of the row denominators is divided out at the end, over
+    F_p the result is reduced mod p.
     """
     n = len(mat)
-    if n == 0:
-        return field.one
     if any(len(r) != n for r in mat):
         raise ShapeError("determinant needs a square matrix")
-    if field.p:
-        p, rows = _plain(field, mat)
-        pivots, values, swaps = _eliminate(rows, n, p, False)
-        if len(pivots) < n:
-            return 0
-        return (-1) ** swaps * prod(values) % p
     field.check(mat)
     scale = 1
     lifted = []
@@ -215,4 +202,4 @@ def det(field: Field, mat: list) -> Scalar:
         ints, d = field.lift(row)
         scale *= d
         lifted.append(ints)
-    return Fraction(det_bareiss_int(lifted), scale)
+    return _unlift(field, [det_bareiss_int(lifted)], scale)[0]

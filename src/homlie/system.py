@@ -37,14 +37,13 @@ the full exact elimination decides.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from itertools import combinations
 from operator import mul
 
 from . import linalg
 
-from .algebra import (LinearMap, SkewAlgebra, Vector, _check_compatible, _lift_constants,
-                      _position)
+from .algebra import (LinearMap, SkewAlgebra, _check_compatible, _lift_constants, _position,
+                      _product)
 from .errors import ShapeError
 from .field import Field, PrimeField, Scalar, _unlift
 
@@ -103,57 +102,11 @@ class HomJacobiMatrix:
             and self.dim == other.dim
             and self.field == other.field
             and self.support == other.support
-            and (self.int_rows == other.int_rows if self.scale == other.scale
-                 else self.rows == other.rows)
+            and self.rows == other.rows
         )
 
     def __repr__(self):
         return f"HomJacobiMatrix(dim={self.dim}, shape={self.nrows}x{self.ncols})"
-
-    def _products(self, flat) -> tuple:
-        """(the int_rows times the lifted flat, unreduced; the lift's
-        denominator)."""
-        v, d = self.field.lift(flat)
-        return (sum(map(mul, row, v)) for row in self.int_rows), d
-
-    def apply(self, flat) -> list:
-        """M times a vector of its unknowns (for the full matrix, a
-        flattened endomorphism)."""
-        if len(flat) != self.ncols:
-            raise ShapeError(f"vector must have length {self.ncols}")
-        self.field.check((flat,))
-        products, d = self._products(flat)
-        return _unlift(self.field, products, self.scale * d)
-
-
-def _block(C: dict, i: int, j: int, k: int, out: list) -> list:
-    """Add mu(mu(e_i,e_j), e_k) to out, unreduced, from a table C of
-    constants {(u, v): mu(e_u, e_v) for u < v}.
-
-    Coordinate l is sum_s C_{i,j}^s C_{s,k}^l with the skew extension for
-    unordered index pairs: for s > k the stored C_{k,s} is subtracted.
-    """
-    cij = C.get((i, j) if i < j else (j, i)) if i != j else None
-    if cij is None:
-        return out
-    sign = 1 if i < j else -1
-    for s, cs in enumerate(cij, 1):
-        if not cs or s == k:
-            continue
-        vec = C.get((s, k) if s < k else (k, s))
-        if vec is None:
-            continue
-        c = sign * cs if s < k else -sign * cs
-        for l, x in enumerate(vec):
-            if x:
-                out[l] += c * x
-    return out
-
-
-def product_block(A: SkewAlgebra, i: int, j: int, k: int) -> Vector:
-    """mu(mu(e_i,e_j), e_k) straight from the structure constants."""
-    f = A.field
-    return f.vector(_block(A.constants, i, j, k, [f.zero] * A.dim))
 
 
 def check_size(n: int) -> None:
@@ -172,7 +125,8 @@ def build_matrix(A: SkewAlgebra) -> HomJacobiMatrix:
 
     For n < 3 there are no triples and the matrix has zero rows (every
     endomorphism is a twisting map). Each block mu(mu(e_u,e_v), e_p) is
-    computed once, for u < v; the (v, u) block is its negation. Over Q the
+    computed once, for u < v, with the algebra product of the stored
+    mu(e_u, e_v) and e_p; the (v, u) block is its negation. Over Q the
     blocks are computed on the constants lifted by their common
     denominator d, so the rows are the integers d^2 M. Raises ShapeError
     above MAX_ENTRIES entries, before allocating anything.
@@ -181,9 +135,11 @@ def build_matrix(A: SkewAlgebra) -> HomJacobiMatrix:
     check_size(n)
     f = A.field
     C, d = _lift_constants(A)
+    units = [[int(k == p) for k in range(n)] for p in range(n)]
     blocks = {}
     for u, v in combinations(range(1, n + 1), 2):
-        blocks[u, v] = [f.vector(_block(C, u, v, p, [0] * n)) for p in range(1, n + 1)]
+        cuv = C.get((u, v), [0] * n)
+        blocks[u, v] = [f.vector(_product(C, cuv, e, [0] * n)) for e in units]
         blocks[v, u] = [f.vector(-x for x in blk) for blk in blocks[u, v]]
     triples = list(combinations(range(1, n + 1), 3))
     rows = [[0] * (n * n) for _ in range(len(triples) * n)]
@@ -203,8 +159,8 @@ def build_matrix(A: SkewAlgebra) -> HomJacobiMatrix:
 def hom_jacobi_defect(A: SkewAlgebra, f: LinearMap) -> list:
     """Cyclic defect vectors, one per basis triple (i<j<k), in lex order.
 
-    Evaluated directly through the algebra product, independently of
-    build_matrix; used as the oracle for the matrix route.
+    Evaluated through the algebra product and f.apply, without the
+    matrix; `verify` reports it next to the matrix route's answer.
     """
     _check_compatible(A, f)
     out = []
@@ -223,11 +179,11 @@ def is_in_kernel(A: SkewAlgebra, f: LinearMap, matrix: HomJacobiMatrix | None = 
     integer rows, up to the first nonzero product."""
     _check_compatible(A, f)
     M = matrix if matrix is not None else build_matrix(A)
-    flat = f.flatten()
-    if len(flat) != M.ncols:
+    if M.ncols != f.dim ** 2:
         raise ShapeError(f"vector must have length {M.ncols}")
+    v, _ = A.field.lift(f.flatten())
     p = A.field.p
-    products, _ = M._products(flat)
+    products = (sum(map(mul, row, v)) for row in M.int_rows)
     return not any(x % p if p else x for x in products)
 
 
@@ -296,19 +252,16 @@ def determinant(M: HomJacobiMatrix) -> Scalar:
 
     The matrix is square exactly for n = 4 (16 x 16); for n <= 2 it has no
     rows and the empty determinant is 1. Any other size is an error: the
-    rank/nullity route decides membership there. Over Q it is the Bareiss
-    determinant of the integer rows divided by scale^N.
+    rank/nullity route decides membership there. It is the Bareiss
+    determinant of the integer rows divided by scale^N over Q, reduced
+    mod p over F_p.
     """
-    if M.nrows == 0:
-        return M.field.one
-    if M.nrows != M.ncols:
+    if M.nrows and M.nrows != M.ncols:
         raise ShapeError(
             f"matrix is {M.nrows}x{M.ncols}, not square; "
             "the determinant criterion only applies to dimension 4 - use rank instead"
         )
-    if M.field.p:
-        return linalg.det(M.field, M.int_rows)
-    return Fraction(linalg.det_bareiss_int(M.int_rows), M.scale ** M.nrows)
+    return _unlift(M.field, [linalg.det_bareiss_int(M.int_rows)], M.scale ** M.nrows)[0]
 
 
 def is_hom_lie(A: SkewAlgebra) -> tuple[bool, LinearMap | None]:

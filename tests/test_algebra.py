@@ -249,7 +249,7 @@ def test_linear_map_validates_shape(qq):
 
 
 def test_linear_map_entry_positions_are_index_pairs(qq):
-    assert LinearMap.from_entries(2, qq, {(1, 2): 5, (2, 2): 1}).rows() == [[0, 5], [0, 1]]
+    assert LinearMap.from_entries(2, qq, {(1, 2): 5, (2, 2): 1}).columns == ((0, 0), (5, 1))
     for bad in ((True, 1), (1, False), (1.5, 1), (1, 2, 3), (0, 1), (1, 3), "12", 7):
         with pytest.raises(ShapeError):
             LinearMap.from_entries(2, qq, {bad: 1})

@@ -12,6 +12,7 @@ from homlie.field import QQ
 from homlie import files
 
 import cli_golden
+from oracles import mat_vec
 from samples import lie_algebras, moved_lie_algebras
 
 
@@ -130,7 +131,7 @@ def test_kernel_of_heisenberg(capsys, fixtures_dir, named):
     A = named["heisenberg3"].algebra
     M = build_matrix(A)
     for f in maps:
-        assert all(x == 0 for x in M.apply(f.flatten()))
+        assert all(x == 0 for x in mat_vec(M.rows, f.flatten()))
 
 
 def test_verify_identity_on_lie_algebra(capsys, fixtures_dir, tmp_path):
@@ -303,13 +304,24 @@ def test_malformed_json_is_input_error(capsys, tmp_path):
     '{"dim": 3, "field": {"kind": "prime", "p": 7}, "products": [{"left": 1, "right": 2, "coeffs": ["\u0663","0","1"]}]}',
     # nested past the parser's recursion limit
     pytest.param("[" * 200_000 + "]" * 200_000, id="deeply-nested-array"),
+    # Latin-1, not UTF-8
+    pytest.param('{"dim": 3, "field": {"kind": "rational"}, "products": [], "note": "\xe9"}'
+                 .encode("latin-1"), id="not-utf-8"),
+    # above the 4,300-digit limit of int() on a decimal string
+    pytest.param('{"dim": 1' + "0" * 5000 + "}", id="integer-over-digit-limit"),
 ])
-def test_fuzz_corpus_of_malformed_files(capsys, tmp_path, payload):
+def test_fuzz_corpus_of_malformed_files(capsys, tmp_path, fixtures_dir, payload):
     bad = tmp_path / "fuzz.json"
-    bad.write_text(payload, encoding="utf-8")
-    for command in (("check",), ("matrix",), ("det",), ("kernel",)):
-        status, out, err = run(capsys, *command, str(bad))
-        assert status == 1, (command, payload)
+    if isinstance(payload, bytes):
+        bad.write_bytes(payload)
+    else:
+        bad.write_text(payload, encoding="utf-8")
+    # none of the payloads is a map file either
+    algebra = fixture(fixtures_dir, "cross_product3")
+    for argv in (("check", bad), ("matrix", bad), ("det", bad), ("kernel", bad),
+                 ("verify", algebra, bad), ("transport", algebra, bad)):
+        status, out, err = run(capsys, *map(str, argv))
+        assert status == 1, (argv, payload)
         assert out == "" and str(bad) in err
 
 

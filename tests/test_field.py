@@ -8,11 +8,15 @@ from homlie import rng
 
 
 def test_canonical_form(qq):
-    assert qq.element((2, 4)) == qq.element((1, 2))
-    assert Fraction(2, 4) == Fraction(1, 2)
+    assert qq.element(Fraction(2, 4)) == qq.element(Fraction(1, 2))
+    assert type(qq.element(3)) is Fraction
     # positive denominator, lowest terms
-    a = qq.element((-4, -6))
+    a = qq.element(Fraction(-4, -6))
     assert (a.numerator, a.denominator) == (2, 3)
+    # a (num, den) pair is not a scalar, whatever its entries
+    for pair in ((1, 2), (True, 2), (1, 0), (1.5, 2)):
+        with pytest.raises(FieldMismatchError):
+            qq.element(pair)
 
 
 def test_reduce_mod_examples():

@@ -97,15 +97,24 @@ def test_det_bareiss_matches_naive_oracle():
 
 
 def test_det_modp_matches_integer_det():
-    p = PrimeField(997)
     s = rng.stream(15, 0)
+    cases = [[], [[0]], [[1, 2], [2, 4]]]  # 0x0, singular
     for _ in range(25):
         n = s.randint(1, 6)
         m = _random_int_matrix(s, n, n)
-        di = linalg.det_bareiss_int(m)
-        dp = linalg.det(p, [[x % 997 for x in r] for r in m])
-        assert dp == di % 997
-        assert det_cofactor_modp(m, 997) == di % 997
+        cases.append(m)
+        # singular over Z: the last row repeats the first
+        cases.append(m[:-1] + [m[0]] if n > 1 else [[0]])
+    # 9223372036854775783 is the largest prime below 2^63
+    for p in (2, 3, 997, 10007, 9223372036854775783):
+        singular = 0
+        for m in cases:
+            di = linalg.det_bareiss_int(m)
+            dp = linalg.det(PrimeField(p), [[x % p for x in r] for r in m])
+            assert dp == di % p, (p, m)
+            assert det_cofactor_modp(m, p) == rank_det_modp(m, p)[1] == di % p, (p, m)
+            singular += dp == 0
+        assert singular >= 27, p
 
 
 def test_det_rejects_non_square():
