@@ -122,13 +122,13 @@ def _parse_support(pattern: str, dim: int):
         chunk = chunk.strip()
         if not chunk:
             continue
-        parts = chunk.split(",")
+        parts = [part.strip() for part in chunk.split(",")]
         if len(parts) != 2:
             raise CliError(f"bad support entry {chunk!r}; expected \"p,q\"")
-        try:
-            out.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise CliError(f"bad support entry {chunk!r}; expected integers") from None
+        # ASCII digits only: int() would also read "0_1" and non-ASCII digits
+        if not all(part.isascii() and part.isdigit() for part in parts):
+            raise CliError(f"bad support entry {chunk!r}; expected integers")
+        out.append((int(parts[0]), int(parts[1])))
     if not out:
         raise CliError("support pattern is empty")
     return tuple(out)

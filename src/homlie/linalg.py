@@ -1,15 +1,15 @@
 """Exact dense linear algebra over a Field.
 
-Matrices are lists of row lists of scalars. Pivoting is always "first row
-with a nonzero entry in the leftmost unresolved column": with exact
-arithmetic no magnitude heuristics are needed and output is deterministic.
-
-Every public function checks its scalars once, on entry, and then works on
-plain values: `int` residues reduced mod p over a prime field. Over Q each
-row is scaled to integers by the lcm of its denominators, which keeps its
-row space, rank and RREF, and elimination runs on Python `int`s; `rref`
-and `det` make `Fraction`s only for their results. All row reduction runs
-through one core, `_eliminate`, and every determinant is the Bareiss
+Matrices are lists of row lists of scalars. Every public function checks
+its scalars once, on entry, and then works on plain values: `int`
+residues reduced mod p over a prime field. Over Q each row is scaled to
+integers by the lcm of its denominators, which keeps its row space, rank
+and RREF, and elimination runs on Python `int`s; `rref` and `det` make
+`Fraction`s only for their results. All row reduction is one streaming
+pass, `_eliminate`, which reads rows until it has a pivot in every
+column: rank and a trivial kernel take no more and never back-substitute,
+and `rref` back-substitutes its at most ncols pivot rows afterwards (the
+RREF depends only on the row space). Every determinant is the Bareiss
 determinant of the integer lift, `det_bareiss_int`: it is exact over Z,
 so over F_p the integer determinant of the residues, reduced mod p, is
 the determinant.
@@ -23,106 +23,108 @@ from .errors import ShapeError, SingularMatrixError
 from .field import Field, Scalar, _unlift
 
 
-def _plain(field: Field, mat: list) -> tuple[int, list]:
-    """Checked copy of mat: residues mod p over F_p; over Q every row
-    lifted to integers (a nonzero multiple of the row)."""
+def _plain(field: Field, mat: list) -> tuple[int, object]:
+    """Check mat and stream its rows as plain values: residues mod p over
+    F_p; over Q every row lifted to integers (a nonzero multiple of it)."""
     field.check(mat)
     p = field.p
     if p:
-        return p, [[x % p for x in row] for row in mat]
-    return 0, [field.lift(row)[0] for row in mat]
+        return p, ([x % p for x in row] for row in mat)
+    return 0, (field.lift(row)[0] for row in mat)
 
 
-def _eliminate(rows: list, ncols: int, p: int, full: bool) -> list[int]:
-    """Row-reduce rows in place; p is the modulus, or 0 over Q.
-
-    Each pivot row is cleared from the rows below it, or from every other
-    row when `full` is set (Gauss-Jordan). Over F_p the pivot row is first
-    scaled to a leading one, so `full` leaves the RREF. Over Q the rows are
-    integers and stay so: a row with entry f in the pivot column becomes
-    (a * row - b * top) / content, with a = piv / g, b = f / g and
-    g = gcd(piv, f); `full` leaves the RREF up to one nonzero factor per
-    row. Returns the pivot columns.
-    """
-    nrows = len(rows)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        top = rows[r]
-        piv = top[c]
-        # columns left of c are zero in the pivot row, so only its tail moves
-        if p:
-            inv = pow(piv, -1, p)
-            top[c:] = [x * inv % p for x in top[c:]]
-        nz = [(j, top[j]) for j in range(c, ncols) if top[j]]
-        for i in range(0 if full else r + 1, nrows):
-            ri = rows[i]
-            f = ri[c]
-            if not f or i == r:
+def _eliminate(rows, ncols: int, p: int) -> tuple[list, list[int]]:
+    """(basis, pivots): an echelon basis of the plain rows of an iterable,
+    read one at a time and never modified, until there are ncols pivots;
+    p is the modulus, or 0 over Q. basis[k] leads in column pivots[k] and is
+    zero in the columns pivots[:k]. Each row is cleared by the pivot rows
+    found so far, in that order, and a nonzero remainder becomes a pivot
+    row, with a leading one over F_p. Over Q rows stay integers: clearing by
+    a row top with pivot piv from a row with entry f gives (a * row - b *
+    top) / content, a = piv / g, b = f / g, g = gcd(piv, f), a primitive
+    multiple of a vector of minors of the input."""
+    basis, pivots, clearing = [], [], []
+    for row in rows:
+        row = list(row)
+        for c, piv, nz in clearing:
+            f = row[c]
+            if not f:
                 continue
             if p:
                 for j, x in nz:
-                    ri[j] = (ri[j] - f * x) % p
+                    row[j] = (row[j] - f * x) % p
             else:
                 g = gcd(piv, f)
                 a, b = piv // g, f // g
                 if a != 1:
-                    ri = [a * x for x in ri]
+                    row = [a * x for x in row]
                 for j, x in nz:
-                    ri[j] -= b * x
-                content = gcd(*ri)
+                    row[j] -= b * x
+                content = gcd(*row)
                 if content > 1:
-                    ri = [x // content for x in ri]
-                rows[i] = ri
+                    row = [x // content for x in row]
+        c = next((j for j, x in enumerate(row) if x), None)
+        if c is None:
+            continue
+        if p and row[c] != 1:
+            inv = pow(row[c], -1, p)
+            row[c:] = [x * inv % p for x in row[c:]]
+        basis.append(row)
         pivots.append(c)
-        r += 1
-    return pivots
+        clearing.append((c, row[c], [(j, row[j]) for j in range(c, ncols) if row[j]]))
+        if len(pivots) == ncols:
+            break
+    return basis, pivots
+
+
+def _reduced(field: Field, basis: list, pivots: list[int]) -> tuple[list, list[int]]:
+    """RREF rows (field values, ascending pivots) and pivots of an echelon
+    basis from `_eliminate`: the same pass over it from the last pivot to
+    the first clears each pivot column above; over Q each row is then
+    divided by its pivot."""
+    order = sorted(range(len(pivots)), key=pivots.__getitem__, reverse=True)
+    red, pivots = _eliminate([basis[k] for k in order], len(basis[0]) if basis else 0, field.p)
+    return [_unlift(field, row, row[c]) for row, c in zip(red[::-1], pivots[::-1])], pivots[::-1]
+
+
+def _kernel(field: Field, basis: list, pivots: list[int], ncols: int) -> list[list]:
+    """Canonical kernel basis from an echelon basis of `_eliminate`, empty
+    at full column rank with no back-substitution: one vector per free
+    column, ascending, with free coordinate 1 and the rest off the RREF."""
+    if len(pivots) == ncols:
+        return []
+    red, pivots = _reduced(field, basis, pivots)
+    p = field.p
+    out = []
+    for free in sorted(set(range(ncols)).difference(pivots)):
+        v = [field.zero] * ncols
+        v[free] = field.one
+        for row, c in zip(red, pivots):
+            v[c] = -row[free] % p if p else -row[free]
+        out.append(v)
+    return out
 
 
 def rref(field: Field, mat: list) -> tuple[list, list[int]]:
-    """Reduced row-echelon form. Returns (rows, pivot_columns).
-
-    Over Q each pivot row is divided by its pivot once, at the end.
-    """
+    """Reduced row-echelon form. Returns (rows, pivot_columns); the rows
+    past the rank are zero. Over Q each pivot row is divided by its pivot
+    once, at the end."""
+    ncols = len(mat[0]) if mat else 0
     p, rows = _plain(field, mat)
-    pivots = _eliminate(rows, len(rows[0]) if rows else 0, p, True)
-    if not p:
-        rows = [_unlift(field, row, row[pivots[r]] if r < len(pivots) else 1)
-                for r, row in enumerate(rows)]
-    return rows, pivots
+    red, pivots = _reduced(field, *_eliminate(rows, ncols, p))
+    return red + [_unlift(field, [0] * ncols) for _ in range(len(mat) - len(red))], pivots
 
 
 def rank(field: Field, mat: list) -> int:
-    """Exact rank by forward elimination (cheaper than full RREF)."""
+    """Exact rank by one forward pass, with no back-substitution."""
     p, rows = _plain(field, mat)
-    return len(_eliminate(rows, len(rows[0]) if rows else 0, p, False))
+    return len(_eliminate(rows, len(mat[0]) if mat else 0, p)[1])
 
 
 def nullspace(field: Field, mat: list, ncols: int) -> list[list]:
-    """Canonical kernel basis read off the RREF.
-
-    One vector per free column in ascending column order; the free
-    coordinate is 1 and pivot coordinates are back-solved.
-    """
-    red, pivots = rref(field, mat)
-    pivot_set = set(pivots)
-    p = field.p
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [field.zero] * ncols
-        v[free] = field.one
-        for r, c in enumerate(pivots):
-            v[c] = -red[r][free] % p if p else -red[r][free]
-        basis.append(v)
-    return basis
+    """Canonical kernel basis read off the RREF (see `_kernel`)."""
+    p, rows = _plain(field, mat)
+    return _kernel(field, *_eliminate(rows, ncols, p), ncols)
 
 
 def identity(field: Field, n: int) -> list:

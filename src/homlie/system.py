@@ -26,12 +26,14 @@ kernel. Twisting maps of a given shape only select unknowns:
 `build_matrix` computes each block mu(mu(e_u,e_v), e_p) once and refuses
 matrices above MAX_ENTRIES entries. Over Q it lifts the constants to
 integers by their common denominator d; M is quadratic in them, so it
-stores the integer rows d^2 M, which rank, kernel, membership, the
-certificate and the determinant read; `rows` makes `Fraction`s only when
-read. `rank` and `kernel_basis` first try a one-sided certificate: full
-column rank of the n^2 rows of the n cyclic triples proves full column
-rank of M (over Q, via the integer rows mod one fixed prime). Otherwise
-the full exact elimination decides.
+stores the integer rows d^2 M, which rank, kernel, membership and the
+determinant read; `rows` makes `Fraction`s only when read. `rank` and
+`kernel_basis` stream the integer rows, the n^2 rows of the n cyclic
+triples first, through one pass of `linalg._eliminate`, which stops at
+full column rank: a generic M is decided by those first rows. Over Q the
+cyclic rows are first eliminated modulo one fixed prime, a one-sided
+step: full column rank there proves full column rank of M, and otherwise
+the exact pass decides.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from . import linalg
 from .algebra import (LinearMap, SkewAlgebra, _check_compatible, _lift_constants, _position,
                       _product)
 from .errors import ShapeError
-from .field import Field, PrimeField, Scalar, _unlift
+from .field import Field, Scalar, _unlift
 
 # Largest matrix build_matrix allocates, in entries (rows x columns): above
 # it the dense matrix and its elimination would take unbounded memory. The
@@ -53,8 +55,8 @@ from .field import Field, PrimeField, Scalar, _unlift
 MAX_ENTRIES = 1_000_000
 
 # The largest prime below 2^30, so residues stay one CPython digit. Over Q
-# the full-rank certificate eliminates the cyclic minor modulo it.
-_CERTIFICATE_FIELD = PrimeField(1073741789)
+# the cyclic rows are first eliminated modulo it (see `_echelon`).
+_P = 1073741789
 
 
 def triple_count(n: int) -> int:
@@ -199,37 +201,33 @@ class KernelBasis:
         return len(self.maps)
 
 
-def _full_rank_certified(M: HomJacobiMatrix) -> bool:
-    """True only if M provably has full column rank M.ncols.
-
-    The row blocks of the n cyclic triples {i, i+1, i+2} (indices mod n),
-    distinct for n >= 4, form an n^2-row submatrix S, and full column rank
-    of S gives M full column rank; for the full matrix S is square. Over
-    F_p, S is eliminated as it is. Over Q its integer rows are reduced mod
-    a fixed prime P: rank_P(S mod P) <= rank_Q of the integer rows, which
-    is rank_Q(S) <= rank_Q(M). False means "not certified", never "rank
-    deficient".
+def _echelon(M: HomJacobiMatrix) -> tuple[list, list[int]]:
+    """(basis, pivots) of `linalg._eliminate` on M's integer rows: those of
+    the cyclic triples {i, i+1, i+2} (indices mod n; one triple for n = 3)
+    first, then the other triples in lexicographic order. Over Q the cyclic
+    rows are first eliminated mod _P; full column rank there proves it over
+    Q (rank mod P <= rank over Q), and that result, whose rows callers do
+    not read at full rank, is returned. Otherwise the exact pass decides.
     """
-    n = M.dim
-    if n < 4:
-        return False
-    triples = list(combinations(range(1, n + 1), 3))
-    S = []
-    for i in range(1, n + 1):
-        t = triples.index(tuple(sorted((i, i % n + 1, (i + 1) % n + 1))))
-        S += M.int_rows[t * n : (t + 1) * n]
-    return linalg.rank(M.field if M.field.p else _CERTIFICATE_FIELD, S) == M.ncols
+    n, p = M.dim, M.field.p
+    cyclic = {tuple(sorted((i, i % n + 1, (i + 1) % n + 1))) for i in range(1, n + 1)}
+    first, rest = [], []
+    for t, triple in enumerate(combinations(range(1, n + 1), 3)):
+        (first if triple in cyclic else rest).extend(M.int_rows[t * n : (t + 1) * n])
+    if not p:
+        mod_p = linalg._eliminate(([x % _P for x in row] for row in first), M.ncols, _P)
+        if len(mod_p[1]) == M.ncols:
+            return mod_p
+    return linalg._eliminate(first + rest, M.ncols, p)
 
 
 def kernel_basis(M: HomJacobiMatrix) -> KernelBasis:
-    """Canonical kernel basis via exact Gauss-Jordan elimination; empty,
-    with only the cyclic minor eliminated, when that certifies full rank.
-    Each nullspace vector becomes a map through M.support, zero elsewhere."""
-    if _full_rank_certified(M):
-        return KernelBasis(M.dim)
+    """Canonical kernel basis read off the RREF of M's echelon basis; empty,
+    with no back-substitution, at full column rank. Each kernel vector
+    becomes a map through M.support, zero elsewhere."""
     n = M.dim
     maps = []
-    for v in linalg.nullspace(M.field, M.int_rows, M.ncols):
+    for v in linalg._kernel(M.field, *_echelon(M), M.ncols):
         flat = [M.field.zero] * (n * n)
         for (p, q), x in zip(M.support, v):
             flat[(q - 1) * n + (p - 1)] = x
@@ -238,9 +236,7 @@ def kernel_basis(M: HomJacobiMatrix) -> KernelBasis:
 
 
 def rank(M: HomJacobiMatrix) -> int:
-    if _full_rank_certified(M):
-        return M.ncols
-    return linalg.rank(M.field, M.int_rows)
+    return len(_echelon(M)[1])
 
 
 def nullity(M: HomJacobiMatrix) -> int:

@@ -207,6 +207,11 @@ def test_restrict_rejects_bad_support(capsys, fixtures_dir):
     status, _, err = run(capsys, "restrict", fixture(fixtures_dir, "cross_product3"),
                          "--support", "0,9")
     assert status == 1
+    # indices are ASCII digits: int() alone would read both of these as 1
+    for pattern in ("\u0661,1;2,2", "0_1,1"):
+        status, out, err = run(capsys, "restrict", fixture(fixtures_dir, "cross_product3"),
+                               "--support", pattern)
+        assert status == 1 and out == "" and "expected integers" in err
 
 
 def test_sample_is_reproducible(capsys):

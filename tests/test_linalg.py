@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import chain
 from math import prod
 
 import pytest
@@ -190,19 +191,40 @@ def test_rational_int_matrices_stay_exact():
 
 
 def test_rational_elimination_keeps_entries_minor_sized():
-    # each row the Q core updates is divided by its content, so it stays a
+    # each row the Q core clears is divided by its content, so it stays a
     # primitive multiple of a row of minors of the input and every entry is
-    # within the Hadamard bound; without the division the bit length
+    # within the Hadamard bound, in the echelon rows of the forward pass and
+    # in the back-substituted ones; without the division the bit length
     # doubles with every pivot
     s = rng.stream(17, 0)
-    for full in (False, True):
-        for _ in range(5):
-            m = _random_int_matrix(s, 14, 12)
-            bound = prod(max(1, sum(x * x for x in row)) for row in m)  # Hadamard bound, squared
-            rows = [list(row) for row in m]
-            linalg._eliminate(rows, 12, 0, full)
-            assert all(x * x <= bound for row in rows for x in row)
-            assert rows != m
+    for _ in range(10):
+        m = _random_int_matrix(s, 14, 12)
+        bound = prod(max(1, sum(x * x for x in row)) for row in m)  # Hadamard bound, squared
+        rows = [list(row) for row in m]
+        basis, pivots = linalg._eliminate(rows, 12, 0)
+        assert rows == m  # the core reads its rows and never modifies them
+        assert basis != m[: len(basis)]
+        red, red_pivots = linalg._reduced(QQ, basis, pivots)
+        assert red_pivots == sorted(pivots)
+        # lifting an RREF row recovers the primitive integer row it came from
+        for echelon in (basis, [QQ.lift(row)[0] for row in red]):
+            assert all(x * x <= bound for row in echelon for x in row)
+
+
+def test_elimination_stops_at_full_column_rank():
+    # once ncols pivots are found no further row is read
+    def unread():
+        raise AssertionError("row read after full column rank")
+        yield
+
+    s = rng.stream(18, 0)
+    for p in (0, 2, 10007):
+        for ncols in (1, 4, 9):
+            # unit upper triangular, fed bottom row first
+            rows = [[int(i == j) or (j > i) * s.below(3) for j in range(ncols)]
+                    for i in reversed(range(ncols))]
+            basis, pivots = linalg._eliminate(chain(rows, unread()), ncols, p)
+            assert len(basis) == ncols and sorted(pivots) == list(range(ncols))
 
 
 FP = PrimeField(10007)

@@ -28,12 +28,12 @@ from homlie import (
 )
 from homlie.field import QQ
 from homlie.lab import catalog
-from homlie.system import MAX_ENTRIES, _full_rank_certified, check_size
+from homlie.system import MAX_ENTRIES, check_size
 
 from oracles import mat_vec, rank_det_modp, rank_fraction, skew_product
 from samples import lie_algebras, moved, moved_lie_algebras
 
-# the prime the full-rank certificate works modulo over Q
+# the prime modulo which the cyclic rows are first eliminated over Q
 CERTIFICATE_PRIME = 1073741789
 
 
@@ -241,14 +241,23 @@ def _oracle_rank(M):
 
 
 def _assert_rank_matches_oracle(M) -> bool:
-    """rank and nullity agree with the oracle; returns whether the
-    certificate fired, which must imply full rank."""
+    """rank, nullity and the kernel basis size agree with the oracle;
+    returns whether M has full column rank."""
     expected = _oracle_rank(M)
-    certified = _full_rank_certified(M)
-    assert not certified or expected == M.ncols
     assert rank(M) == expected
-    assert kernel_basis(M).nullity == M.ncols - expected
-    return certified
+    assert nullity(M) == kernel_basis(M).nullity == M.ncols - expected
+    return expected == M.ncols
+
+
+def _cyclic_rows(M):
+    """The rows of the n cyclic triples {i, i+1, i+2} (indices mod n, n >= 4)."""
+    n = M.dim
+    triples = list(combinations(range(1, n + 1), 3))
+    rows = []
+    for i in range(1, n + 1):
+        t = triples.index(tuple(sorted((i, i % n + 1, (i + 1) % n + 1))))
+        rows += M.rows[t * n : (t + 1) * n]
+    return rows
 
 
 def test_rank_and_kernel_match_oracles(fp, qq):
@@ -268,52 +277,52 @@ def test_rank_and_kernel_match_oracles(fp, qq):
 
 def test_certificate_falls_back_when_the_minor_is_singular():
     # over F_3 the cyclic minor is often singular while M has full rank;
-    # the full elimination must then decide
+    # the elimination must then go on past the cyclic rows
     fallbacks = 0
     for n in (4, 5, 6):
         for t in range(8):
             M = build_matrix(random_algebra(n, PrimeField(3), rng.split(64 + n, t)))
-            certified = _assert_rank_matches_oracle(M)
-            if not certified and _oracle_rank(M) == M.ncols:
+            full = _assert_rank_matches_oracle(M)
+            if full and rank_det_modp(_cyclic_rows(M), 3)[0] < M.ncols:
+                assert kernel_basis(M).maps == []
                 fallbacks += 1
     assert fallbacks > 0
 
 
 def test_certificate_is_sound_with_its_prime_in_a_denominator(qq):
-    # the certificate reduces the integer rows mod its prime P whatever the
-    # denominators: it may fail to fire, but never claims full rank falsely
+    # over Q the cyclic rows are first reduced mod the prime P whatever the
+    # denominators: that step may fail to decide, but the rank stays exact
     A = random_algebra(5, qq, seed=65, bound=5)
     (i, j), vec = next(iter(A.constants.items()))
     scaled = dict(A.constants)
     scaled[(i, j)] = (vec[0] / CERTIFICATE_PRIME, *vec[1:])
     B = make_algebra(5, qq, [(i, j, v) for (i, j), v in scaled.items()])
     M = build_matrix(B)
-    assert _full_rank_certified(build_matrix(A))
+    assert _assert_rank_matches_oracle(build_matrix(A))
     assert any(x.denominator % CERTIFICATE_PRIME == 0 for row in M.rows for x in row)
-    assert _assert_rank_matches_oracle(M) is False
+    # with P in one denominator the integer rows are mostly 0 mod P
+    assert rank_det_modp([[x % CERTIFICATE_PRIME for x in row] for row in M.int_rows],
+                         CERTIFICATE_PRIME)[0] < M.ncols
+    assert _assert_rank_matches_oracle(M)
     assert rank(M) == rank_fraction(M.rows) == M.ncols
     assert kernel_basis(M).nullity == 0
     # dividing every constant by P scales M by 1/P^2 and leaves the integer
-    # rows as they were, so the certificate fires exactly as for A
+    # rows as they were
     C = make_algebra(5, qq, [(i, j, [x / CERTIFICATE_PRIME for x in v])
                              for (i, j), v in A.constants.items()])
-    assert _assert_rank_matches_oracle(build_matrix(C)) is True
-    # a rank-deficient algebra with P in every denominator is never certified
+    assert _assert_rank_matches_oracle(build_matrix(C))
+    # a rank-deficient algebra with P in every denominator stays deficient
     for D in moved_lie_algebras(qq):
         D = make_algebra(D.dim, qq, [(i, j, [x / CERTIFICATE_PRIME for x in v])
                                      for (i, j), v in D.constants.items()])
-        assert _assert_rank_matches_oracle(build_matrix(D)) is False
+        assert not _assert_rank_matches_oracle(build_matrix(D))
 
 
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
 @given(n=st.integers(4, 6), p=st.sampled_from([2, 3, 5, 7, 10007]),
        seed=st.integers(0, 2**32 - 1))
-def test_certificate_implies_full_rank(n, p, seed):
-    M = build_matrix(random_algebra(n, PrimeField(p), seed))
-    certified = _assert_rank_matches_oracle(M)
-    if n == 4:
-        # the cyclic triples are all four triples: S is M reordered
-        assert certified == (_oracle_rank(M) == 16)
+def test_rank_matches_oracle_over_small_primes(n, p, seed):
+    _assert_rank_matches_oracle(build_matrix(random_algebra(n, PrimeField(p), seed)))
 
 
 def test_build_matrix_rejects_oversized_input(qq):
@@ -446,10 +455,10 @@ def _supports(n, s):
 
 
 def test_restricted_systems_match_oracles(fp, qq):
-    # generic algebras (the certificate may fire) and moved Lie algebras
-    # (rank deficient) at n = 4..6, restricted to diag, bidiag and random
-    # supports; rank and nullity against the oracles on the selected columns
-    certified = set()
+    # generic algebras and moved Lie algebras (rank deficient) at n = 4..6,
+    # restricted to diag, bidiag and random supports; rank and nullity
+    # against the oracles on the selected columns
+    full_rank = set()
     for field in (fp, qq):
         cases = [random_algebra(n, field, rng.split(66, n), bound=5) for n in (4, 5, 6)]
         cases += [A for A in moved_lie_algebras(field) if A.dim >= 4]
@@ -461,14 +470,14 @@ def test_restricted_systems_match_oracles(fp, qq):
                 assert R.support == tuple(sorted(set(support), key=lambda pq: (pq[1], pq[0])))
                 assert R.rows == [[row[(q - 1) * n + p - 1] for p, q in R.support] for row in M.rows]
                 if _assert_rank_matches_oracle(R):
-                    certified.add(field)
+                    full_rank.add(field)
                 maps = kernel_basis(R).maps
                 assert nullity(R) == len(maps)
                 for f in maps:
                     assert all(f.entry(p, q) == 0 for p in range(1, n + 1) for q in range(1, n + 1)
                                if (p, q) not in R.support)
                     assert is_in_kernel(A, f, matrix=M)
-    assert certified == {fp, qq}
+    assert full_rank == {fp, qq}
 
 
 def test_generic_reduced_rank_is_deterministic(fp):
