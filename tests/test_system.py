@@ -28,7 +28,8 @@ from homlie import (
 )
 from homlie.field import QQ
 from homlie.lab import catalog
-from homlie.system import MAX_ENTRIES, check_size
+from homlie import linalg
+from homlie.system import MAX_ENTRIES, KernelBasis, check_size
 
 from oracles import mat_vec, rank_det_modp, rank_fraction, skew_product
 from samples import lie_algebras, moved, moved_lie_algebras
@@ -273,6 +274,35 @@ def test_rank_and_kernel_match_oracles(fp, qq):
             M = build_matrix(A)
             assert not _assert_rank_matches_oracle(M)
             assert rank(M) < M.ncols
+
+
+def test_generic_rank_reads_only_the_cyclic_rows(monkeypatch, fp, qq):
+    # the cyclic triples come first, so a generic M reaches full column
+    # rank on its first n^2 rows (over Q in the mod-P step alone), and
+    # neither rank nor the empty kernel back-substitutes
+    eliminate = linalg._eliminate
+    read = []
+
+    def counting(rows, ncols, p):
+        def rows_read():
+            for row in rows:
+                read.append(p)
+                yield row
+        return eliminate(rows_read(), ncols, p)
+
+    def no_back_substitution(*args):
+        raise AssertionError("back-substituted at full column rank")
+
+    monkeypatch.setattr(linalg, "_eliminate", counting)
+    monkeypatch.setattr(linalg, "_reduced", no_back_substitution)
+    generic = [random_algebra(n, fp, rng.split(62, n)) for n in range(4, 9)]
+    generic += [random_algebra(n, qq, rng.split(63, n), bound=5) for n in range(4, 7)]
+    for A in generic:
+        n, M = A.dim, build_matrix(A)
+        for decide in (rank, kernel_basis):
+            read.clear()
+            assert decide(M) in (n * n, KernelBasis(n))
+            assert read == [A.field.p or CERTIFICATE_PRIME] * (n * n)
 
 
 def test_certificate_falls_back_when_the_minor_is_singular():
