@@ -87,9 +87,9 @@ class SkewAlgebra:
         _check_compatible(self, g)
         f, n = self.field, self.dim
         C, d = _lift_constants(self)
-        inv, e = f.lift(g.inverse().flatten())
-        img, h = f.lift(g.flatten())
-        inv_cols, img_rows = _split(inv, n), list(zip(*_split(img, n)))
+        inv_cols, e = _lift_columns(g.inverse())
+        img_cols, h = _lift_columns(g)
+        img_rows = list(zip(*img_cols))
         den = h * d * e * e
         constants = {}
         for i, j in combinations(range(1, n + 1), 2):
@@ -178,12 +178,10 @@ class LinearMap:
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self after other, multiplied on integer lifts of both."""
         _check_same_space(self, other)
-        f, n = self.field, self.dim
-        a, da = f.lift(self.flatten())
-        b, db = f.lift(other.flatten())
-        a_rows = list(zip(*_split(a, n)))
-        return LinearMap(n, f, [_unlift(f, [sum(map(mul, row, col)) for row in a_rows], da * db)
-                                for col in _split(b, n)])
+        a, da = _lift_columns(self)
+        b, db = _lift_columns(other)
+        f = self.field
+        return LinearMap(self.dim, f, [_unlift(f, col, da * db) for col in _mat_mul(a, b)])
 
     def inverse(self) -> "LinearMap":
         """The inverse map. Its columns are the rows of the inverse of the
@@ -207,9 +205,11 @@ def _product(constants: dict, x, y, out: list) -> list:
     return out
 
 
-def _split(flat: list, n: int) -> list:
-    """The n columns of a column-by-column flattening."""
-    return [flat[q * n : (q + 1) * n] for q in range(n)]
+def _mat_mul(a_cols, b_cols) -> list:
+    """The columns of the product A·B of two square matrices given by
+    their columns, as unreduced lists of plain values."""
+    a_rows = list(zip(*a_cols))
+    return [[sum(map(mul, row, col)) for row in a_rows] for col in b_cols]
 
 
 def _lift_constants(A: SkewAlgebra) -> tuple[dict, int]:
@@ -219,6 +219,14 @@ def _lift_constants(A: SkewAlgebra) -> tuple[dict, int]:
     keys = list(A.constants)
     lifted, d = A.field.lift([x for key in keys for x in A.constants[key]])
     return {key: lifted[t * n : (t + 1) * n] for t, key in enumerate(keys)}, d
+
+
+def _lift_columns(g: LinearMap) -> tuple[list, int]:
+    """(columns, d): the columns of g lifted by one common denominator d
+    (Field.lift)."""
+    ints, d = g.field.lift(g.flatten())
+    n = g.dim
+    return [ints[q * n : (q + 1) * n] for q in range(n)], d
 
 
 def _check_same_space(a, b):

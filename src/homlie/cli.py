@@ -11,6 +11,7 @@ All randomness is seeded explicitly; no ambient entropy is ever used.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import files, system
@@ -101,7 +102,7 @@ def cmd_verify(args) -> str:
         defects = system.hom_jacobi_defect(A, f)
         in_kernel = system.is_in_kernel(A, f, matrix=M)
     except ValueError as exc:
-        raise CliError(str(exc)) from exc
+        raise CliError(f"{args.map}: {exc}") from exc
     payload = {
         "in_kernel": in_kernel,
         "defects": [
@@ -169,11 +170,14 @@ def cmd_transport(args) -> str:
     try:
         moved = A.transport(g)
     except ValueError as exc:
-        raise CliError(str(exc)) from exc
+        raise CliError(f"{args.map}: {exc}") from exc
     return files.dumps_canonical(files.algebra_to_obj(moved))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `homlie` parser, built once per process: parsing leaves it
+    unchanged, so every `main` call reuses it."""
     parser = _Parser(prog="homlie",
                      description="Decide Hom-Lie structure existence for "
                                  "skew-symmetric algebras, exactly.")

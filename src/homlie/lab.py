@@ -13,7 +13,8 @@ import time
 from dataclasses import dataclass, field as dc_field
 
 from . import rng
-from .algebra import SkewAlgebra, make_algebra, random_algebra, random_invertible_map
+from .algebra import (LinearMap, SkewAlgebra, _lift_columns, _mat_mul, make_algebra,
+                      random_algebra, random_invertible_map)
 from .field import QQ, Field, PrimeField
 from .system import (bidiagonal_support, build_matrix, check_size, is_in_kernel, kernel_basis,
                      nullity, rank as matrix_rank, restrict_columns)
@@ -89,20 +90,25 @@ def invariance_battery(A: SkewAlgebra, trials: int, seed: int,
 
     Draws `trials` random invertible maps g; for each, the transported
     algebra must have the same nullity, and g o f o g^-1 must stay in the
-    transported kernel for every canonical kernel basis map f.
+    transported kernel for every canonical kernel basis map f. The map
+    tested is the integer product G·F·H of the lifts of g, f and g^-1
+    (each lifted once): a nonzero integer multiple of g o f o g^-1, which
+    is in the kernel exactly when g o f o g^-1 is.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    fld, n = A.field, A.dim
     base = kernel_basis(build_matrix(A))
+    lifted = [_lift_columns(f)[0] for f in base.maps]
     for t in range(trials):
-        g = random_invertible_map(A.dim, A.field, rng.split(seed, t), bound)
+        g = random_invertible_map(n, fld, rng.split(seed, t), bound)
         moved = A.transport(g)
         moved_matrix = build_matrix(moved)
         if nullity(moved_matrix) != base.nullity:
             return False
-        ginv = g.inverse()
-        for f in base.maps:
-            conjugated = g.compose(f).compose(ginv)
+        G, H = _lift_columns(g)[0], _lift_columns(g.inverse())[0]
+        for F in lifted:
+            conjugated = LinearMap(n, fld, _mat_mul(G, _mat_mul(F, H)))
             if not is_in_kernel(moved, conjugated, matrix=moved_matrix):
                 return False
     return True

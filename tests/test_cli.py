@@ -149,7 +149,7 @@ def test_verify_rejects_shape_mismatch(capsys, fixtures_dir, tmp_path):
     mpath = write_map(tmp_path, LinearMap.identity(4, QQ))
     status, _, err = run(capsys, "verify", fixture(fixtures_dir, "cross_product3"), mpath)
     assert status == 1
-    assert "mismatch" in err
+    assert "mismatch" in err and mpath in err
 
 
 @pytest.mark.parametrize("algebra, map_obj, needle", [
@@ -269,7 +269,18 @@ def test_transport_round_trip_preserves_nullity(capsys, fixtures_dir, tmp_path):
 def test_transport_rejects_singular_map(capsys, fixtures_dir, tmp_path):
     mpath = write_map(tmp_path, LinearMap.zero(3, QQ))
     status, _, err = run(capsys, "transport", fixture(fixtures_dir, "cross_product3"), mpath)
-    assert status == 1 and "singular" in err
+    assert status == 1 and "singular" in err and mpath in err
+
+
+@pytest.mark.parametrize("f, needle", [
+    (LinearMap.identity(4, QQ), "dimension mismatch"),
+    (LinearMap.identity(3, PrimeField(7)), "field mismatch"),
+], ids=["dimension", "field"])
+def test_transport_names_the_mismatched_map(capsys, fixtures_dir, tmp_path, f, needle):
+    mpath = write_map(tmp_path, f)
+    status, out, err = run(capsys, "transport", fixture(fixtures_dir, "cross_product3"), mpath)
+    assert status == 1 and out == ""
+    assert needle in err and mpath in err
 
 
 def test_output_flag_writes_file(capsys, fixtures_dir, tmp_path):
@@ -278,6 +289,29 @@ def test_output_flag_writes_file(capsys, fixtures_dir, tmp_path):
                          "--output", str(target))
     assert status == 0 and out == ""
     assert json.loads(target.read_text())["nullity"] == 9
+
+
+def test_reused_parser_keeps_no_state_between_calls(capsys, fixtures_dir, tmp_path):
+    from homlie.cli import build_parser
+
+    assert build_parser() is build_parser()
+    abelian, nonhomlie = fixture(fixtures_dir, "abelian3"), fixture(fixtures_dir, "nonhomlie4")
+    target = tmp_path / "out.json"
+    status, out, _ = run(capsys, "check", abelian, "--output", str(target))
+    assert status == 0 and out == "" and json.loads(target.read_text())["nullity"] == 9
+    target.unlink()
+    status, out, _ = run(capsys, "check", abelian)
+    assert status == 0 and json.loads(out)["nullity"] == 9 and not target.exists()
+
+    status, out, _ = run(capsys, "matrix", nonhomlie, "--format", "csv")
+    assert status == 0 and "," in out
+    status, out, _ = run(capsys, "matrix", nonhomlie)
+    assert status == 0 and out == (fixtures_dir / "nonhomlie4_matrix.txt").read_text()
+
+    status, out, err = run(capsys, "sample", "--dim", "3")
+    assert status == 1 and out == "" and "--trials" in err
+    status, out, err = run(capsys, "det", nonhomlie)
+    assert status == 0 and err == "" and json.loads(out) == {"det": "7574844564"}
 
 
 def test_missing_file_is_input_error(capsys):
@@ -365,7 +399,7 @@ def test_prime_field_files_end_to_end(capsys, tmp_path):
 def test_verify_rejects_field_mismatch(capsys, fixtures_dir, tmp_path):
     mpath = write_map(tmp_path, LinearMap.identity(3, PrimeField(7)), "id3p.json")
     status, _, err = run(capsys, "verify", fixture(fixtures_dir, "cross_product3"), mpath)
-    assert status == 1 and "mismatch" in err
+    assert status == 1 and "field mismatch" in err and mpath in err
 
 
 def test_internal_errors_exit_2(capsys, fixtures_dir, monkeypatch):

@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
+import homlie.lab
 from homlie import (
     LinearMap,
     build_matrix,
@@ -7,8 +10,11 @@ from homlie import (
     invariance_battery,
     is_hom_lie,
     is_in_kernel,
+    kernel_basis,
     nullity,
     random_algebra,
+    random_invertible_map,
+    rng,
 )
 from homlie.lab import catalog
 
@@ -81,6 +87,49 @@ def test_invariance_battery_on_catalog(named):
 def test_invariance_battery_on_random_prime_algebra(fp):
     A = random_algebra(4, fp, seed=68)
     assert invariance_battery(A, trials=10, seed=69)
+
+
+def _is_nonzero_multiple(got: LinearMap, want: LinearMap) -> bool:
+    """True iff got == c * want for a nonzero scalar c (want nonzero)."""
+    p = want.field.p
+    x, y = got.flatten(), want.flatten()
+    k = next(i for i, b in enumerate(y) if b)
+    if p:
+        c = x[k] * pow(y[k], -1, p) % p
+        return c != 0 and all((a - c * b) % p == 0 for a, b in zip(x, y))
+    c = Fraction(x[k]) / y[k]
+    return c != 0 and all(a == c * b for a, b in zip(x, y))
+
+
+def test_invariance_battery_tests_each_conjugated_kernel_map(named, fp, monkeypatch):
+    """The battery hands is_in_kernel one multiple of g o f o g^-1 per kernel
+    map f and trial, and inverts each g twice (once inside transport)."""
+    algebras = [entry.algebra for entry in named.values()]
+    algebras += [random_algebra(n, fp, seed=90 + n) for n in (3, 4, 5)]
+    trials = 2
+    original_inverse = LinearMap.inverse
+    for A in algebras:
+        seen, inverted = [], []
+
+        def spy(B, f, matrix=None):
+            seen.append(f)
+            return is_in_kernel(B, f, matrix=matrix)
+
+        def counted_inverse(g):
+            inverted.append(g)
+            return original_inverse(g)
+
+        monkeypatch.setattr(homlie.lab, "is_in_kernel", spy)
+        monkeypatch.setattr(LinearMap, "inverse", counted_inverse)
+        assert invariance_battery(A, trials=trials, seed=95) is True
+        monkeypatch.undo()
+
+        gs = [random_invertible_map(A.dim, A.field, rng.split(95, t)) for t in range(trials)]
+        assert inverted == [g for g in gs for _ in range(2)]
+        base = kernel_basis(build_matrix(A)).maps
+        expected = [g.compose(f).compose(g.inverse()) for g in gs for f in base]
+        assert len(seen) == len(expected) == len(base) * trials
+        assert all(_is_nonzero_multiple(got, want) for got, want in zip(seen, expected))
 
 
 def test_invariance_battery_validates_trials(named):
