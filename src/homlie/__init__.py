@@ -7,6 +7,7 @@ maps, and run seeded genericity experiments.
 """
 
 from .algebra import (
+    DEFAULT_BOUND,
     LinearMap,
     SkewAlgebra,
     make_algebra,
@@ -17,7 +18,6 @@ from .algebra import (
 from .errors import FieldMismatchError, ReductionError, ShapeError, SingularMatrixError
 from .field import QQ, Field, PrimeField, Rationals, is_prime, reduce_mod
 from .lab import (
-    DEFAULT_BOUND,
     DEFAULT_PRIME,
     NamedAlgebra,
     SampleReport,

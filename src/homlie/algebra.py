@@ -13,9 +13,12 @@ from operator import mul
 
 from . import linalg, rng
 from .errors import FieldMismatchError, ShapeError
-from .field import Field, Scalar, _unlift
+from .field import Field, Scalar, _lift_rows, _unlift
 
 Vector = tuple
+
+# Half-width of the integer range rational random draws take values from.
+DEFAULT_BOUND = 10
 
 
 class SkewAlgebra:
@@ -84,19 +87,19 @@ class SkewAlgebra:
         It runs on integer lifts of the constants, g and g^-1, and divides
         each coordinate once.
         """
-        _check_compatible(self, g)
+        _check_same_space(self, g)
         f, n = self.field, self.dim
         C, d = _lift_constants(self)
-        inv_cols, e = _lift_columns(g.inverse())
-        img_cols, h = _lift_columns(g)
-        img_rows = list(zip(*img_cols))
+        inv_cols, e = _lift_rows(f, g.inverse().columns)
+        img_cols, h = _lift_rows(f, g.columns)
         den = h * d * e * e
+        pairs = list(combinations(range(1, n + 1), 2))
+        mids = [_product(C, inv_cols[i - 1], inv_cols[j - 1], [0] * n) for i, j in pairs]
         constants = {}
-        for i, j in combinations(range(1, n + 1), 2):
-            m = _product(C, inv_cols[i - 1], inv_cols[j - 1], [0] * n)
-            w = _unlift(f, [sum(map(mul, row, m)) for row in img_rows], den)
+        for pair, col in zip(pairs, _mat_mul(img_cols, mids)):
+            w = _unlift(f, col, den)
             if any(w):
-                constants[(i, j)] = tuple(w)
+                constants[pair] = tuple(w)
         return SkewAlgebra(n, f, constants)
 
 
@@ -178,9 +181,9 @@ class LinearMap:
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self after other, multiplied on integer lifts of both."""
         _check_same_space(self, other)
-        a, da = _lift_columns(self)
-        b, db = _lift_columns(other)
         f = self.field
+        a, da = _lift_rows(f, self.columns)
+        b, db = _lift_rows(f, other.columns)
         return LinearMap(self.dim, f, [_unlift(f, col, da * db) for col in _mat_mul(a, b)])
 
     def inverse(self) -> "LinearMap":
@@ -206,8 +209,8 @@ def _product(constants: dict, x, y, out: list) -> list:
 
 
 def _mat_mul(a_cols, b_cols) -> list:
-    """The columns of the product A·B of two square matrices given by
-    their columns, as unreduced lists of plain values."""
+    """The columns of the product A·B of two matrices given by their
+    columns, as unreduced lists of plain values."""
     a_rows = list(zip(*a_cols))
     return [[sum(map(mul, row, col)) for row in a_rows] for col in b_cols]
 
@@ -215,32 +218,16 @@ def _mat_mul(a_cols, b_cols) -> list:
 def _lift_constants(A: SkewAlgebra) -> tuple[dict, int]:
     """({(i, j): lifted constants}, d): every structure constant of A
     lifted by one common denominator d (Field.lift)."""
-    n = A.dim
-    keys = list(A.constants)
-    lifted, d = A.field.lift([x for key in keys for x in A.constants[key]])
-    return {key: lifted[t * n : (t + 1) * n] for t, key in enumerate(keys)}, d
-
-
-def _lift_columns(g: LinearMap) -> tuple[list, int]:
-    """(columns, d): the columns of g lifted by one common denominator d
-    (Field.lift)."""
-    ints, d = g.field.lift(g.flatten())
-    n = g.dim
-    return [ints[q * n : (q + 1) * n] for q in range(n)], d
+    rows, d = _lift_rows(A.field, A.constants.values())
+    return dict(zip(A.constants, rows)), d
 
 
 def _check_same_space(a, b):
+    """Raise unless a and b (algebras or maps) share dimension and field."""
     if a.dim != b.dim:
         raise ShapeError(f"dimension mismatch: {a.dim} vs {b.dim}")
     if a.field != b.field:
         raise FieldMismatchError(f"field mismatch: {a.field!r} vs {b.field!r}")
-
-
-def _check_compatible(algebra: SkewAlgebra, f: LinearMap):
-    if algebra.dim != f.dim:
-        raise ShapeError(f"dimension mismatch: algebra {algebra.dim} vs map {f.dim}")
-    if algebra.field != f.field:
-        raise FieldMismatchError(f"field mismatch: {algebra.field!r} vs {f.field!r}")
 
 
 def _is_index(x) -> bool:
@@ -291,7 +278,7 @@ def _scalar_draw(field: Field, bound: int):
     return lambda s: field.element(s.randint(-bound, bound))
 
 
-def random_algebra(dim: int, field: Field, seed: int, bound: int = 10) -> SkewAlgebra:
+def random_algebra(dim: int, field: Field, seed: int, bound: int = DEFAULT_BOUND) -> SkewAlgebra:
     """Seeded random algebra; a pure function of (dim, field, seed, bound).
 
     Each structure-constant slot draws one scalar from its own (seed, slot)
@@ -306,14 +293,14 @@ def random_algebra(dim: int, field: Field, seed: int, bound: int = 10) -> SkewAl
     return make_algebra(dim, field, products)
 
 
-def random_linear_map(dim: int, field: Field, seed: int, bound: int = 10) -> LinearMap:
+def random_linear_map(dim: int, field: Field, seed: int, bound: int = DEFAULT_BOUND) -> LinearMap:
     """Seeded random endomorphism, same slot discipline as random_algebra."""
     draw = _scalar_draw(field, bound)
     cols = [[draw(rng.stream(seed, q * dim + p)) for p in range(dim)] for q in range(dim)]
     return LinearMap(dim, field, cols)
 
 
-def random_invertible_map(dim: int, field: Field, seed: int, bound: int = 10) -> LinearMap:
+def random_invertible_map(dim: int, field: Field, seed: int, bound: int = DEFAULT_BOUND) -> LinearMap:
     """Rejection-sample an invertible endomorphism from one (seed) stream."""
     draw = _scalar_draw(field, bound)
     s = rng.stream(seed, 0)

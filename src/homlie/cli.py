@@ -18,7 +18,7 @@ from . import files, system
 from .algebra import LinearMap
 from .errors import ShapeError
 from .field import PrimeField
-from .lab import DEFAULT_BOUND, DEFAULT_PRIME, genericity_experiment
+from .lab import DEFAULT_PRIME, genericity_experiment
 
 
 class CliError(Exception):
@@ -32,23 +32,17 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _load_algebra(path):
+def _load(loader, path):
+    """loader(path), with a file or format error as a CliError."""
     try:
-        return files.load_algebra(path)
-    except (OSError, ValueError) as exc:
-        raise CliError(str(exc)) from exc
-
-
-def _load_map(path):
-    try:
-        return files.load_map(path)
+        return loader(path)
     except (OSError, ValueError) as exc:
         raise CliError(str(exc)) from exc
 
 
 def _load_system(path):
     """The algebra in `path` and its Hom-Jacobi matrix."""
-    A = _load_algebra(path)
+    A = _load(files.load_algebra, path)
     try:
         return A, system.build_matrix(A)
     except ShapeError as exc:
@@ -85,7 +79,7 @@ def cmd_det(args) -> str:
     try:
         value = system.determinant(M)
     except ShapeError as exc:
-        raise CliError(str(exc)) from exc
+        raise CliError(f"{args.algebra}: {exc}") from exc
     return files.dumps_canonical({"det": A.field.format(value)})
 
 
@@ -97,7 +91,7 @@ def cmd_kernel(args) -> str:
 
 def cmd_verify(args) -> str:
     A, M = _load_system(args.algebra)
-    f = _load_map(args.map)
+    f = _load(files.load_map, args.map)
     try:
         defects = system.hom_jacobi_defect(A, f)
         in_kernel = system.is_in_kernel(A, f, matrix=M)
@@ -158,15 +152,15 @@ def cmd_restrict(args) -> str:
 def cmd_sample(args) -> str:
     try:
         fld = PrimeField(args.prime)
-        report = genericity_experiment(args.dim, args.trials, fld, args.seed, args.bound)
+        report = genericity_experiment(args.dim, args.trials, fld, args.seed)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     return files.dumps_canonical(report.to_obj())
 
 
 def cmd_transport(args) -> str:
-    A = _load_algebra(args.algebra)
-    g = _load_map(args.map)
+    A = _load(files.load_algebra, args.algebra)
+    g = _load(files.load_map, args.map)
     try:
         moved = A.transport(g)
     except ValueError as exc:
@@ -216,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--prime", type=int, default=DEFAULT_PRIME)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--bound", type=int, default=DEFAULT_BOUND)
 
     p = add("transport", cmd_transport, "transport an algebra along an invertible map")
     p.add_argument("algebra")

@@ -187,6 +187,14 @@ class PrimeField(Field):
 QQ = Rationals()
 
 
+def _lift_rows(field: Field, rows) -> tuple[list, int]:
+    """(int_rows, d): a sized collection of equal-length rows of scalars,
+    lifted by one common denominator d (`Field.lift`)."""
+    ints, d = field.lift([x for row in rows for x in row])
+    n = len(ints) // len(rows) if rows else 0
+    return [ints[k * n : (k + 1) * n] for k in range(len(rows))], d
+
+
 def _unlift(field: Field, ints, d: int = 1) -> list:
     """The field's values of ints / d, undoing `lift`: over Q a list of
     `Fraction`s sharing one zero, over F_p (where d is 1) residues."""

@@ -140,17 +140,18 @@ def load_json(path: str):
         raise ValueError(f"{path}: JSON nested too deeply") from exc
 
 
-def load_algebra(path: str) -> SkewAlgebra:
+def _load(path: str, from_obj):
+    """from_obj of the JSON in a file; every error names the file."""
     obj = load_json(path)
     try:
-        return algebra_from_obj(obj)
+        return from_obj(obj)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+
+
+def load_algebra(path: str) -> SkewAlgebra:
+    return _load(path, algebra_from_obj)
 
 
 def load_map(path: str) -> LinearMap:
-    obj = load_json(path)
-    try:
-        return map_from_obj(obj)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    return _load(path, map_from_obj)

@@ -9,18 +9,16 @@ locus up to that error. Reports are deterministic per seed.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field as dc_field
 
 from . import rng
-from .algebra import (LinearMap, SkewAlgebra, _lift_columns, _mat_mul, make_algebra,
-                      random_algebra, random_invertible_map)
-from .field import QQ, Field, PrimeField
+from .algebra import (LinearMap, SkewAlgebra, _mat_mul, make_algebra, random_algebra,
+                      random_invertible_map)
+from .field import QQ, Field, PrimeField, _lift_rows
 from .system import (bidiagonal_support, build_matrix, check_size, is_in_kernel, kernel_basis,
                      nullity, rank as matrix_rank, restrict_columns)
 
 DEFAULT_PRIME = 10007
-DEFAULT_BOUND = 10
 
 
 @dataclass
@@ -33,11 +31,8 @@ class SampleReport:
     seed: int
     histogram: dict = dc_field(default_factory=dict)
     full_rank: int = 0
-    elapsed: float = 0.0
 
     def to_obj(self) -> dict:
-        # elapsed is intentionally left out: serialized reports are
-        # reproducible functions of (dim, p, trials, seed)
         return {
             "dim": self.dim,
             "p": self.field.p,
@@ -48,8 +43,7 @@ class SampleReport:
         }
 
 
-def genericity_experiment(dim: int, trials: int, field: Field, seed: int,
-                          bound: int = DEFAULT_BOUND) -> SampleReport:
+def genericity_experiment(dim: int, trials: int, field: Field, seed: int) -> SampleReport:
     """Sample `trials` random algebras and record the nullity of each."""
     if dim < 3:
         raise ValueError("genericity experiments need dimension >= 3")
@@ -58,34 +52,31 @@ def genericity_experiment(dim: int, trials: int, field: Field, seed: int,
     if not isinstance(field, PrimeField):
         raise ValueError("genericity experiments run over a prime field")
     check_size(dim)
-    start = time.perf_counter()
     hist: dict[int, int] = {}
     full = 0
     for t in range(trials):
-        A = random_algebra(dim, field, rng.split(seed, t), bound)
+        A = random_algebra(dim, field, rng.split(seed, t))
         M = build_matrix(A)
         nul = M.ncols - matrix_rank(M)
         hist[nul] = hist.get(nul, 0) + 1
         if nul == 0:
             full += 1
-    return SampleReport(dim, field, trials, seed, hist, full,
-                        time.perf_counter() - start)
+    return SampleReport(dim, field, trials, seed, hist, full)
 
 
-def generic_reduced_rank(count: int, fld: Field, seed: int, bound: int = DEFAULT_BOUND) -> dict:
+def generic_reduced_rank(count: int, fld: Field, seed: int) -> dict:
     """Rank histogram of the bidiagonal restricted system on random
     4-dimensional algebras; deterministic per seed."""
     support = bidiagonal_support(4)
     hist: dict[int, int] = {}
     for t in range(count):
-        A = random_algebra(4, fld, rng.split(seed, t), bound)
+        A = random_algebra(4, fld, rng.split(seed, t))
         r = matrix_rank(restrict_columns(build_matrix(A), support))
         hist[r] = hist.get(r, 0) + 1
     return hist
 
 
-def invariance_battery(A: SkewAlgebra, trials: int, seed: int,
-                       bound: int = DEFAULT_BOUND) -> bool:
+def invariance_battery(A: SkewAlgebra, trials: int, seed: int) -> bool:
     """Check that nullity is a transport invariant and kernels conjugate.
 
     Draws `trials` random invertible maps g; for each, the transported
@@ -99,14 +90,14 @@ def invariance_battery(A: SkewAlgebra, trials: int, seed: int,
         raise ValueError("need at least one trial")
     fld, n = A.field, A.dim
     base = kernel_basis(build_matrix(A))
-    lifted = [_lift_columns(f)[0] for f in base.maps]
+    lifted = [_lift_rows(fld, f.columns)[0] for f in base.maps]
     for t in range(trials):
-        g = random_invertible_map(n, fld, rng.split(seed, t), bound)
+        g = random_invertible_map(n, fld, rng.split(seed, t))
         moved = A.transport(g)
         moved_matrix = build_matrix(moved)
         if nullity(moved_matrix) != base.nullity:
             return False
-        G, H = _lift_columns(g)[0], _lift_columns(g.inverse())[0]
+        G, H = _lift_rows(fld, g.columns)[0], _lift_rows(fld, g.inverse().columns)[0]
         for F in lifted:
             conjugated = LinearMap(n, fld, _mat_mul(G, _mat_mul(F, H)))
             if not is_in_kernel(moved, conjugated, matrix=moved_matrix):

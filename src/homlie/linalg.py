@@ -20,7 +20,7 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import ShapeError, SingularMatrixError
-from .field import Field, Scalar, _unlift
+from .field import Field, Scalar, _lift_rows, _unlift
 
 
 def _plain(field: Field, mat: list) -> tuple[int, object]:
@@ -190,18 +190,13 @@ def det_bareiss_int(mat: list) -> int:
 def det(field: Field, mat: list) -> Scalar:
     """Exact determinant; empty matrix has determinant one.
 
-    The matrix is lifted to integers row by row and handed to Bareiss; over
-    Q the product of the row denominators is divided out at the end, over
-    F_p the result is reduced mod p.
+    The matrix is lifted to integers by one common denominator d and handed
+    to Bareiss; over Q d^n is divided out at the end, over F_p the result is
+    reduced mod p.
     """
     n = len(mat)
     if any(len(r) != n for r in mat):
         raise ShapeError("determinant needs a square matrix")
     field.check(mat)
-    scale = 1
-    lifted = []
-    for row in mat:
-        ints, d = field.lift(row)
-        scale *= d
-        lifted.append(ints)
-    return _unlift(field, [det_bareiss_int(lifted)], scale)[0]
+    lifted, d = _lift_rows(field, mat)
+    return _unlift(field, [det_bareiss_int(lifted)], d ** n)[0]

@@ -44,7 +44,7 @@ from operator import mul
 
 from . import linalg
 
-from .algebra import (LinearMap, SkewAlgebra, _check_compatible, _lift_constants, _position,
+from .algebra import (LinearMap, SkewAlgebra, _check_same_space, _lift_constants, _position,
                       _product)
 from .errors import ShapeError
 from .field import Field, Scalar, _unlift
@@ -164,7 +164,7 @@ def hom_jacobi_defect(A: SkewAlgebra, f: LinearMap) -> list:
     Evaluated through the algebra product and f.apply, without the
     matrix; `verify` reports it next to the matrix route's answer.
     """
-    _check_compatible(A, f)
+    _check_same_space(A, f)
     out = []
     for i, j, k in combinations(range(1, A.dim + 1), 3):
         ei, ej, ek = A.basis_vector(i), A.basis_vector(j), A.basis_vector(k)
@@ -179,7 +179,7 @@ def is_in_kernel(A: SkewAlgebra, f: LinearMap, matrix: HomJacobiMatrix | None = 
     """True iff the flattened map is annihilated by the Hom-Jacobi matrix:
     the lifted flattening (checked when the map was made) dotted with the
     integer rows, up to the first nonzero product."""
-    _check_compatible(A, f)
+    _check_same_space(A, f)
     M = matrix if matrix is not None else build_matrix(A)
     if M.ncols != f.dim ** 2:
         raise ShapeError(f"vector must have length {M.ncols}")
@@ -193,7 +193,6 @@ def is_in_kernel(A: SkewAlgebra, f: LinearMap, matrix: HomJacobiMatrix | None = 
 class KernelBasis:
     """Canonical basis of twisting maps, read off the RREF of M."""
 
-    dim: int
     maps: list = dc_field(default_factory=list)
 
     @property
@@ -232,7 +231,7 @@ def kernel_basis(M: HomJacobiMatrix) -> KernelBasis:
         for (p, q), x in zip(M.support, v):
             flat[(q - 1) * n + (p - 1)] = x
         maps.append(LinearMap.from_flat(n, M.field, flat))
-    return KernelBasis(n, maps)
+    return KernelBasis(maps)
 
 
 def rank(M: HomJacobiMatrix) -> int:

@@ -2,6 +2,7 @@ import pathlib
 import sys
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
@@ -10,6 +11,11 @@ from homlie.field import QQ
 from homlie.lab import catalog
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+# Property tests replay the same examples on every run, keep no example
+# database and set no per-example deadline; each sets its own max_examples.
+settings.register_profile("homlie", derandomize=True, database=None, deadline=None)
+settings.load_profile("homlie")
 
 
 @pytest.fixture(scope="session")

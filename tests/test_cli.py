@@ -4,9 +4,10 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homlie import (LinearMap, PrimeField, build_matrix, determinant, make_algebra, random_algebra,
-                    random_invertible_map, rng)
+                    random_invertible_map, random_linear_map, rng)
 from homlie.cli import main
 from homlie.field import QQ
 from homlie import files
@@ -117,10 +118,11 @@ def test_det_of_nonhomlie4(capsys, fixtures_dir):
 
 
 def test_det_of_dim3_directs_to_rank(capsys, fixtures_dir):
-    status, out, err = run(capsys, "det", fixture(fixtures_dir, "cross_product3"))
+    path = fixture(fixtures_dir, "cross_product3")
+    status, out, err = run(capsys, "det", path)
     assert status == 1
     assert out == ""
-    assert "rank" in err
+    assert "rank" in err and path in err
 
 
 def test_kernel_of_heisenberg(capsys, fixtures_dir, named):
@@ -223,6 +225,22 @@ def test_sample_is_reproducible(capsys):
     payload = json.loads(out1)
     assert payload["dim"] == 3 and payload["trials"] == 10 and payload["p"] == 10007
     assert sum(payload["histogram"].values()) == 10
+
+
+def test_sample_has_no_dead_option(capsys):
+    base = {"--dim": "4", "--trials": "20", "--prime": "3", "--seed": "3"}
+
+    def sample(options, *extra):
+        return run(capsys, "sample", *(x for kv in options.items() for x in kv), *extra)
+
+    # every value option reaches the draws, not only the echoed fields
+    reference = json.loads(sample(base)[1])["histogram"]
+    for option, value in (("--dim", "5"), ("--trials", "19"), ("--prime", "2"), ("--seed", "4")):
+        status, out, _ = sample({**base, option: value})
+        assert status == 0 and json.loads(out)["histogram"] != reference, option
+    # uniform residues mod p take no bound, so none is accepted
+    status, out, err = sample(base, "--bound", "3")
+    assert status == 1 and out == "" and "--bound" in err
 
 
 def test_sample_rejects_composite_prime(capsys):
@@ -362,6 +380,57 @@ def test_fuzz_corpus_of_malformed_files(capsys, tmp_path, fixtures_dir, payload)
         status, out, err = run(capsys, *map(str, argv))
         assert status == 1, (argv, payload)
         assert out == "" and str(bad) in err
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12)
+_literal = st.sampled_from(["-3/4", "2/0", " 7 ", "\u0663", "1_0", "0.5"]) | st.text(
+    "0123456789+-/ x", max_size=6)
+
+
+def _nodes(obj, path=()):
+    """The path of every value in a JSON object, the object itself first."""
+    yield path
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+def _replaced(obj, path, value):
+    if not path:
+        return value
+    obj = json.loads(json.dumps(obj))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return obj
+
+
+def _near(obj):
+    """obj, or obj with one value replaced by a random literal or JSON value."""
+    return st.just(obj) | st.tuples(st.sampled_from(list(_nodes(obj))), _literal | _json).map(
+        lambda change: _replaced(obj, *change))
+
+
+@settings(max_examples=60)
+@given(data=st.data(), n=st.integers(1, 5), prime=st.booleans(), seed=st.integers(0, 99))
+def test_no_input_file_exits_2(tmp_path_factory, data, n, prime, seed):
+    # any JSON value, and a valid algebra file and map file with at most one
+    # value replaced, is an input error (1) or an answer (0) for every command
+    fld = PrimeField(7) if prime else QQ
+    valid = [files.algebra_to_obj(random_algebra(n, fld, seed, bound=2)),
+             files.map_to_obj(random_linear_map(n, fld, seed, bound=2))]
+    tmp = tmp_path_factory.mktemp("prop")
+    path, algebra = tmp / "input.json", tmp / "algebra.json"
+    algebra.write_text(json.dumps(valid[0]), encoding="utf-8")
+    for obj in [data.draw(_json), *(data.draw(_near(x)) for x in valid)]:
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        for argv in (("check", path), ("kernel", path), ("det", path),
+                     ("verify", algebra, path), ("transport", algebra, path)):
+            assert main([str(x) for x in argv]) in (0, 1), (argv, obj)
 
 
 def test_usage_errors_exit_1(capsys):

@@ -52,7 +52,6 @@ def test_report_histogram_counts_sum_to_trials(fp):
     r = genericity_experiment(4, 30, fp, seed=62)
     assert sum(r.histogram.values()) == 30
     assert r.full_rank == r.histogram.get(0, 0)
-    assert r.elapsed > 0
 
 
 def test_dim3_samples_never_have_full_rank(fp):

@@ -205,7 +205,7 @@ def test_rational_rref_and_nullspace_match_oracle():
             assert linalg.det(QQ, m) == det_fraction(m)
 
 
-@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@settings(max_examples=60)
 @given(data=st.data())
 def test_rational_rref_is_invariant_under_row_operations(data):
     nrows = data.draw(st.integers(1, 7))
