@@ -44,13 +44,19 @@ class SampleReport:
 
 
 def genericity_experiment(dim: int, trials: int, field: Field, seed: int) -> SampleReport:
-    """Sample `trials` random algebras and record the nullity of each."""
+    """Sample `trials` random algebras and record the nullity of each.
+
+    The seed must lie in [0, 2^64): the random streams read it modulo 2^64,
+    so any other seed would repeat the draws of one inside the range.
+    """
     if dim < 3:
         raise ValueError("genericity experiments need dimension >= 3")
     if trials < 1:
         raise ValueError("need at least one trial")
     if not isinstance(field, PrimeField):
         raise ValueError("genericity experiments run over a prime field")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed {seed} is outside [0, 2^64)")
     check_size(dim)
     hist: dict[int, int] = {}
     full = 0

@@ -23,34 +23,41 @@ kernel. Twisting maps of a given shape only select unknowns:
 `restrict_columns` returns the HomJacobiMatrix of the chosen columns, and
 `rank`, `nullity` and `kernel_basis` serve it like the full matrix.
 
-`build_matrix` computes each block mu(mu(e_u,e_v), e_p) once and refuses
-matrices above MAX_ENTRIES entries. Over Q it lifts the constants to
-integers by their common denominator d; M is quadratic in them, so it
-stores the integer rows d^2 M, which rank, kernel, membership and the
-determinant read; `rows` makes `Fraction`s only when read. `rank` and
-`kernel_basis` stream the integer rows, the n^2 rows of the n cyclic
-triples first, through one pass of `linalg._eliminate`, which stops at
-full column rank: a generic M is decided by those first rows. Over Q the
-cyclic rows are first eliminated modulo one fixed prime, a one-sided
-step: full column rank there proves full column rank of M, and otherwise
-the exact pass decides.
+`build_matrix` only checks the size and lifts the constants; the matrix
+computes its rows lazily, the n rows of one triple at a time, and keeps
+them. The rows of a triple need the blocks mu(mu(e_u,e_v), e_p) of its
+three pairs. Each block is computed on first use from the n - 1 stored
+pairs that contain p, and kept in a block table that every restriction of
+the matrix shares. Over Q the constants are lifted to integers by their
+common denominator d; M is quadratic in them, so the rows are the integers
+d^2 M, which rank, kernel, membership and the determinant read.
+`int_rows` assembles the kept rows in the frozen order on first read, and
+`rows` makes `Fraction`s from them only when read. `rank` and
+`kernel_basis` stream the triples, the n cyclic triples first, through one
+pass of `linalg._eliminate`, which stops at full column rank: a generic M
+is decided by those n^2 rows, and only the blocks of their pairs
+{i, i+1} and {i, i+2} are computed. Over Q the cyclic rows are first eliminated modulo one fixed
+prime, a one-sided step: full column rank there proves full column rank
+of M, and otherwise the exact pass decides, reading the same kept rows.
+`is_in_kernel` streams the triples in the same order and stops at the
+first nonzero product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations
+from functools import cache
+from itertools import chain, combinations
 from operator import mul
 
 from . import linalg
 
-from .algebra import (LinearMap, SkewAlgebra, _check_same_space, _lift_constants, _position,
-                      _product)
+from .algebra import LinearMap, SkewAlgebra, _check_same_space, _lift_constants, _position
 from .errors import ShapeError
 from .field import Field, Scalar, _unlift
 
-# Largest matrix build_matrix allocates, in entries (rows x columns): above
-# it the dense matrix and its elimination would take unbounded memory. The
+# Largest matrix build_matrix admits, in entries (rows x columns): above it
+# the dense matrix and its elimination would take unbounded memory. The
 # limit admits n <= 14 (998,816 entries); n = 8 has 28,672.
 MAX_ENTRIES = 1_000_000
 
@@ -63,36 +70,129 @@ def triple_count(n: int) -> int:
     return n * (n - 1) * (n - 2) // 6
 
 
+@cache
+def _triples(n: int) -> tuple[tuple, tuple, int]:
+    """(triples, order, cyclic): the triples i < j < k of 1..n in
+    lexicographic order; their ranks in the order the rows are streamed,
+    the cyclic triples {i, i+1, i+2} (indices mod n; one triple for n = 3)
+    first and then the others, each part ascending; and the number of
+    cyclic triples."""
+    triples = tuple(combinations(range(1, n + 1), 3))
+    cyclic = {tuple(sorted((i, i % n + 1, (i + 1) % n + 1))) for i in range(1, n + 1)}
+    first = [t for t, triple in enumerate(triples) if triple in cyclic]
+    rest = [t for t, triple in enumerate(triples) if triple not in cyclic]
+    return triples, (*first, *rest), len(first)
+
+
+class _Blocks(dict):
+    """The block table of one algebra: (u, v) -> [mu(mu(e_u,e_v), e_p) for
+    p = 1..n], plain values (lifted integers over Q, residues over F_p),
+    each block computed on first lookup. mu(x, e_p) is the sum of
+    x_i mu(e_i, e_p) over the n - 1 stored pairs that contain p; the (v, u)
+    block is the negation of the (u, v) block."""
+
+    def __init__(self, n: int, field: Field, constants: dict):
+        super().__init__()
+        self.n, self.field, self.constants = n, field, constants
+        # p - 1 -> [(i - 1, sign, c)] with mu(e_i, e_p) = sign * c
+        self.containing = [[] for _ in range(n)]
+        for (i, j), c in constants.items():
+            self.containing[j - 1].append((i - 1, 1, c))
+            self.containing[i - 1].append((j - 1, -1, c))
+
+    def __missing__(self, uv):
+        u, v = uv
+        f, n = self.field, self.n
+        if u > v:
+            blk = [f.vector(-x for x in vec) for vec in self[v, u]]
+        else:
+            x = self.constants.get(uv, (0,) * n)
+            blk = []
+            for pairs in self.containing:
+                out = [0] * n
+                for i, sign, c in pairs:
+                    coef = sign * x[i]
+                    if coef:
+                        for k, ck in enumerate(c):
+                            if ck:
+                                out[k] += coef * ck
+                blk.append(f.vector(out))
+        self[uv] = blk
+        return blk
+
+
 class HomJacobiMatrix:
-    """Dense exact matrix of the Hom-Jacobi system, with frozen ordering.
-    Column c holds the unknown a_{p,q}, (p, q) = support[c], in (q, p)
-    order: all n^2 positions, or those kept by restrict_columns.
+    """Exact matrix of the Hom-Jacobi system, with frozen ordering, whose
+    rows are computed one triple at a time. Column c holds the unknown
+    a_{p,q}, (p, q) = support[c], in (q, p) order: all n^2 positions, or
+    those kept by restrict_columns.
 
     The entries are int_rows / scale: over Q `int_rows` are integers and
     scale a positive integer, over F_p they are the residues and scale 1.
+    The n rows of a triple are computed from the shared block table on
+    their first read and kept; `int_rows` and `rows` are views of them
+    built on first read.
     """
 
-    __slots__ = ("dim", "field", "int_rows", "scale", "support", "_rows")
+    __slots__ = ("dim", "field", "scale", "support", "_blocks", "_columns", "_triple_rows",
+                 "_int_rows", "_rows")
 
-    def __init__(self, dim: int, field: Field, int_rows, scale: int, support):
+    def __init__(self, dim: int, field: Field, blocks: _Blocks, scale: int, support):
         self.dim = dim
         self.field = field
-        self.int_rows = int_rows
         self.scale = scale
         self.support = support
-        self._rows = int_rows if field.p else None
+        self._blocks = blocks
+        # q - 1 -> [(c, p - 1)] for the columns c = (p, q) of the support
+        self._columns = [[] for _ in range(dim)]
+        for c, (p, q) in enumerate(support):
+            self._columns[q - 1].append((c, p - 1))
+        self._triple_rows = [None] * triple_count(dim)
+        self._int_rows = self._rows = None
+
+    def _triple(self, t: int) -> list:
+        """The n integer rows of the t-th triple (i, j, k) in lexicographic
+        order: in column (p, q), coordinate l of the (j, k) block at p if
+        q = i, of the (k, i) block if q = j, of the (i, j) block if q = k."""
+        rows = self._triple_rows[t]
+        if rows is None:
+            i, j, k = _triples(self.dim)[0][t]
+            rows = [[0] * len(self.support) for _ in range(self.dim)]
+            for q, pair in ((i, (j, k)), (j, (k, i)), (k, (i, j))):
+                columns = self._columns[q - 1]
+                if columns:
+                    blk = self._blocks[pair]
+                    for c, p in columns:
+                        for row, x in zip(rows, blk[p]):
+                            if x:
+                                row[c] = x
+            self._triple_rows[t] = rows
+        return rows
+
+    def _stream(self, ranks):
+        """The rows of the triples of the given lexicographic ranks, in
+        that order, each triple computed when the stream reaches it."""
+        return chain.from_iterable(map(self._triple, ranks))
+
+    @property
+    def int_rows(self) -> list:
+        """The integer rows in the frozen order, assembled on first read."""
+        if self._int_rows is None:
+            self._int_rows = list(self._stream(range(len(self._triple_rows))))
+        return self._int_rows
 
     @property
     def rows(self) -> list:
         """The entries as values of the field; over Q `Fraction`s sharing
         one zero, built on first read."""
         if self._rows is None:
-            self._rows = [_unlift(self.field, row, self.scale) for row in self.int_rows]
+            self._rows = self.int_rows if self.field.p else [
+                _unlift(self.field, row, self.scale) for row in self.int_rows]
         return self._rows
 
     @property
     def nrows(self) -> int:
-        return len(self.int_rows)
+        return self.dim * len(self._triple_rows)
 
     @property
     def ncols(self) -> int:
@@ -123,39 +223,19 @@ def check_size(n: int) -> None:
 
 
 def build_matrix(A: SkewAlgebra) -> HomJacobiMatrix:
-    """Assemble the Hom-Jacobi matrix of an algebra.
+    """The Hom-Jacobi matrix of an algebra, with no row computed yet.
 
     For n < 3 there are no triples and the matrix has zero rows (every
-    endomorphism is a twisting map). Each block mu(mu(e_u,e_v), e_p) is
-    computed once, for u < v, with the algebra product of the stored
-    mu(e_u, e_v) and e_p; the (v, u) block is its negation. Over Q the
-    blocks are computed on the constants lifted by their common
-    denominator d, so the rows are the integers d^2 M. Raises ShapeError
-    above MAX_ENTRIES entries, before allocating anything.
+    endomorphism is a twisting map). Over Q the structure constants are
+    lifted by their common denominator d, so the rows, computed per triple
+    when first read, are the integers d^2 M. Raises ShapeError above
+    MAX_ENTRIES entries.
     """
     n = A.dim
     check_size(n)
-    f = A.field
     C, d = _lift_constants(A)
-    units = [[int(k == p) for k in range(n)] for p in range(n)]
-    blocks = {}
-    for u, v in combinations(range(1, n + 1), 2):
-        cuv = C.get((u, v), [0] * n)
-        blocks[u, v] = [f.vector(_product(C, cuv, e, [0] * n)) for e in units]
-        blocks[v, u] = [f.vector(-x for x in blk) for blk in blocks[u, v]]
-    triples = list(combinations(range(1, n + 1), 3))
-    rows = [[0] * (n * n) for _ in range(len(triples) * n)]
-    for t, (i, j, k) in enumerate(triples):
-        out = rows[t * n : (t + 1) * n]
-        for q, pair in ((i, (j, k)), (j, (k, i)), (k, (i, j))):
-            col = (q - 1) * n
-            for blk in blocks[pair]:
-                for row, x in zip(out, blk):
-                    if x:
-                        row[col] = x
-                col += 1
     support = tuple((p, q) for q in range(1, n + 1) for p in range(1, n + 1))
-    return HomJacobiMatrix(n, f, rows, d * d, support)
+    return HomJacobiMatrix(n, A.field, _Blocks(n, A.field, C), d * d, support)
 
 
 def hom_jacobi_defect(A: SkewAlgebra, f: LinearMap) -> list:
@@ -178,14 +258,19 @@ def hom_jacobi_defect(A: SkewAlgebra, f: LinearMap) -> list:
 def is_in_kernel(A: SkewAlgebra, f: LinearMap, matrix: HomJacobiMatrix | None = None) -> bool:
     """True iff the flattened map is annihilated by the Hom-Jacobi matrix:
     the lifted flattening (checked when the map was made) dotted with the
-    integer rows, up to the first nonzero product."""
+    integer rows, streamed cyclic triples first (see `_echelon`), up to the
+    first nonzero product."""
     _check_same_space(A, f)
     M = matrix if matrix is not None else build_matrix(A)
     if M.ncols != f.dim ** 2:
         raise ShapeError(f"vector must have length {M.ncols}")
     v, _ = A.field.lift(f.flatten())
     p = A.field.p
-    products = (sum(map(mul, row, v)) for row in M.int_rows)
+    # kept rows are read without a call per triple: the battery and `check`
+    # test maps against a matrix whose rows rank has already computed
+    kept = M._triple_rows
+    products = (sum(map(mul, row, v))
+                for t in _triples(M.dim)[1] for row in kept[t] or M._triple(t))
     return not any(x % p if p else x for x in products)
 
 
@@ -201,23 +286,22 @@ class KernelBasis:
 
 
 def _echelon(M: HomJacobiMatrix) -> tuple[list, list[int]]:
-    """(basis, pivots) of `linalg._eliminate` on M's integer rows: those of
-    the cyclic triples {i, i+1, i+2} (indices mod n; one triple for n = 3)
-    first, then the other triples in lexicographic order. Over Q the cyclic
-    rows are first eliminated mod _P; full column rank there proves it over
-    Q (rank mod P <= rank over Q), and that result, whose rows callers do
-    not read at full rank, is returned. Otherwise the exact pass decides.
+    """(basis, pivots) of `linalg._eliminate` on M's integer rows, streamed
+    per triple: those of the cyclic triples {i, i+1, i+2} (indices mod n;
+    one triple for n = 3) first, then the other triples in lexicographic
+    order. Over Q the cyclic rows are first eliminated mod _P; full column
+    rank there proves it over Q (rank mod P <= rank over Q), and that
+    result, whose rows callers do not read at full rank, is returned.
+    Otherwise the exact pass decides, reading the same kept rows.
     """
-    n, p = M.dim, M.field.p
-    cyclic = {tuple(sorted((i, i % n + 1, (i + 1) % n + 1))) for i in range(1, n + 1)}
-    first, rest = [], []
-    for t, triple in enumerate(combinations(range(1, n + 1), 3)):
-        (first if triple in cyclic else rest).extend(M.int_rows[t * n : (t + 1) * n])
+    _, order, cyclic = _triples(M.dim)
+    p = M.field.p
     if not p:
-        mod_p = linalg._eliminate(([x % _P for x in row] for row in first), M.ncols, _P)
+        rows = M._stream(order[:cyclic])
+        mod_p = linalg._eliminate(([x % _P for x in row] for row in rows), M.ncols, _P)
         if len(mod_p[1]) == M.ncols:
             return mod_p
-    return linalg._eliminate(first + rest, M.ncols, p)
+    return linalg._eliminate(M._stream(order), M.ncols, p)
 
 
 def kernel_basis(M: HomJacobiMatrix) -> KernelBasis:
@@ -290,15 +374,13 @@ def bidiagonal_support(n: int) -> tuple:
 def restrict_columns(M: HomJacobiMatrix, support) -> HomJacobiMatrix:
     """Keep only the columns of unknowns a_{p,q} with (p, q) in support.
 
-    Columns follow the (q, p) order and duplicates count once. Raises
-    ShapeError for an empty support or a position that is not a pair of
-    indices naming a column of M.
+    Columns follow the (q, p) order and duplicates count once. The result
+    shares M's block table and computes its own rows per triple, on the
+    chosen columns only. Raises ShapeError for an empty support or a
+    position that is not a pair of indices naming a column of M.
     """
-    index = {pq: c for c, pq in enumerate(M.support)}
     chosen = {_position(pq, M.dim, "support position") for pq in support}
-    if not chosen or not chosen <= index.keys():
+    if not chosen or not chosen <= set(M.support):
         raise ShapeError(f"support {sorted(chosen)} is empty or not within the matrix's columns")
     ordered = tuple(sorted(chosen, key=lambda pq: (pq[1], pq[0])))
-    cols = [index[pq] for pq in ordered]
-    rows = [[row[c] for c in cols] for row in M.int_rows]
-    return HomJacobiMatrix(M.dim, M.field, rows, M.scale, ordered)
+    return HomJacobiMatrix(M.dim, M.field, M._blocks, M.scale, ordered)

@@ -122,7 +122,7 @@ def skew_product(constants, n: int, x, y, p: int = 0) -> list:
     out = [Fraction(0)] * n
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            if i == j:
+            if i == j or not (x[i - 1] and y[j - 1]):
                 continue
             if (i, j) in constants:
                 c, sign = constants[(i, j)], 1
@@ -180,6 +180,34 @@ def nullspace_fraction(rows, ncols: int) -> list:
     return basis
 
 
+def nullspace_modp(rows, ncols: int, p: int) -> list:
+    """Kernel basis mod p by plain Gauss-Jordan, one vector per free column
+    of the RREF (free coordinate 1, other free coordinates 0)."""
+    m = [[int(x) % p for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = pow(m[r][c], p - 2, p)
+        m[r] = [a * inv % p for a in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[free] = 1
+        for r, c in enumerate(pivots):
+            v[c] = -m[r][free] % p
+        basis.append(v)
+    return basis
+
+
 def det_fraction(rows) -> Fraction:
     """Determinant over Q by fraction elimination with row swaps."""
     m = [[Fraction(x) for x in row] for row in rows]
@@ -209,8 +237,12 @@ def hom_jacobi_rows(constants, n: int) -> list:
     def e(i):
         return [int(k == i) for k in range(1, n + 1)]
 
+    blocks = {}
+
     def block(a, b, p):
-        return skew_product(constants, n, skew_product(constants, n, e(a), e(b)), e(p))
+        if (a, b, p) not in blocks:
+            blocks[a, b, p] = skew_product(constants, n, skew_product(constants, n, e(a), e(b)), e(p))
+        return blocks[a, b, p]
 
     rows = []
     for i in range(1, n + 1):

@@ -249,6 +249,17 @@ def test_sample_rejects_composite_prime(capsys):
     assert status == 1 and "prime" in err
 
 
+def test_sample_refuses_seeds_outside_64_bits(capsys):
+    # the random streams read a seed modulo 2^64: -1 would repeat the draws
+    # of 2^64 - 1, and 2^64 + 5 those of 5, under a different "seed" field
+    args = ("sample", "--dim", "3", "--trials", "2", "--prime", "10007", "--seed")
+    for seed in (-1, 2**64, 2**64 + 5):
+        status, out, err = run(capsys, *args, str(seed))
+        assert status == 1 and out == "" and f"seed {seed} " in err
+    status, out, _ = run(capsys, *args, str(2**64 - 1))
+    assert status == 0 and json.loads(out)["seed"] == 2**64 - 1
+
+
 def test_oversized_inputs_fail_fast_with_exit_1(capsys, tmp_path):
     # dimension 40 would make a 395,200 x 1,600 Hom-Jacobi matrix
     apath = str(tmp_path / "abelian40.json")

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -31,7 +32,8 @@ from homlie.lab import catalog
 from homlie import linalg
 from homlie.system import MAX_ENTRIES, check_size
 
-from oracles import mat_vec, rank_det_modp, rank_fraction, skew_product
+from oracles import (hom_jacobi_rows, mat_vec, nullspace_fraction, nullspace_modp, rank_det_modp,
+                     rank_fraction, skew_product)
 from samples import lie_algebras, moved, moved_lie_algebras
 
 # the prime modulo which the cyclic rows are first eliminated over Q
@@ -277,9 +279,11 @@ def test_rank_and_kernel_match_oracles(fp, qq):
 
 
 def test_generic_rank_reads_only_the_cyclic_rows(monkeypatch, fp, qq):
-    # the cyclic triples come first, so a generic M reaches full column
-    # rank on its first n^2 rows (over Q in the mod-P step alone), and
-    # neither rank nor the empty kernel back-substitutes
+    # build_matrix computes no block; the cyclic triples come first, so a
+    # generic M reaches full column rank on its first n^2 rows (over Q in
+    # the mod-P step alone), which need only the blocks of the cyclic pairs
+    # {i, i+1} and {i, i+2}: 2n of the n(n-1)/2 pairs for n >= 6. Neither
+    # rank nor the empty kernel back-substitutes
     eliminate = linalg._eliminate
     read = []
 
@@ -299,23 +303,103 @@ def test_generic_rank_reads_only_the_cyclic_rows(monkeypatch, fp, qq):
     generic += [random_algebra(n, qq, rng.split(63, n), bound=5) for n in range(4, 7)]
     for A in generic:
         n, M = A.dim, build_matrix(A)
+        assert not M._blocks
         cyclic_rows = [A.field.p or CERTIFICATE_PRIME] * (n * n)
         read.clear()
         assert rank(M) == n * n and read == cyclic_rows
+        pairs = {frozenset(uv) for uv in M._blocks}
+        assert pairs == {frozenset((i, (i + s - 1) % n + 1)) for i in range(1, n + 1) for s in (1, 2)}
+        assert len(pairs) == (2 * n if n >= 5 else 6)
+        assert n < 6 or len(pairs) < n * (n - 1) // 2
         read.clear()
         assert kernel_basis(M).maps == [] and read == cyclic_rows
 
 
+LAZY_FIELDS = (PrimeField(2), PrimeField(3), PrimeField(10007), QQ)
+
+# a prime other than the library's: rank modulo it <= rank over Q
+ORACLE_PRIME = 2147483647
+
+
+def _oracle_rank_and_kernel(rows, ncols: int, p: int) -> tuple[int, list]:
+    """(rank, canonical kernel basis) of oracle rows. Over F_p by mod-p
+    elimination. Over Q full column rank is certified modulo ORACLE_PRIME
+    on the rows lifted to integers; otherwise fraction Gauss-Jordan decides."""
+    if p:
+        r = rank_det_modp(rows, p)[0]
+        return r, [] if r == ncols else nullspace_modp(rows, ncols, p)
+    d = math.lcm(*(x.denominator for row in rows for x in row))
+    if rank_det_modp([[int(x * d) for x in row] for row in rows], ORACLE_PRIME)[0] == ncols:
+        return ncols, []
+    kernel = nullspace_fraction(rows, ncols)
+    return ncols - len(kernel), kernel
+
+
+def _kernel_vectors(M) -> list:
+    """kernel_basis(M) as coordinate vectors over M's columns."""
+    return [[f.entry(p, q) for p, q in M.support] for f in kernel_basis(M).maps]
+
+
+def test_lazy_rows_rank_and_kernel_match_the_oracles():
+    # generic and moved Lie algebras, whole and restricted to the diagonal
+    # and bidiagonal shapes (which share the whole matrix's blocks), against
+    # rows, ranks and kernels that share nothing with the library
+    for field in LAZY_FIELDS:
+        p = field.p
+        algebras = [random_algebra(n, field, rng.split(66, n), bound=3) for n in range(3, 9)]
+        for A in algebras + moved_lie_algebras(field):
+            n, M = A.dim, build_matrix(A)
+            whole = hom_jacobi_rows(A.constants, n)
+            if p:
+                whole = [[int(x) % p for x in row] for row in whole]
+            for support in (None, diagonal_support(n), bidiagonal_support(n)):
+                R = M if support is None else restrict_columns(M, support)
+                rows = [[row[(q - 1) * n + a - 1] for a, q in R.support] for row in whole]
+                r, kernel = _oracle_rank_and_kernel(rows, R.ncols, p)
+                assert rank(R) == r and _kernel_vectors(R) == kernel, (field, n, support)
+                fresh = build_matrix(A)
+                if support is not None:
+                    fresh = restrict_columns(fresh, support)
+                assert R.int_rows == fresh.int_rows
+                assert R.int_rows == [[x * R.scale for x in row] for row in rows]
+                assert R.rows == rows
+
+
+@settings(max_examples=40)
+@given(data=st.data(), field=st.sampled_from(LAZY_FIELDS), shape=st.sampled_from(["full", "diag", "bidiag"]))
+def test_kernel_does_not_depend_on_the_row_order(data, field, shape):
+    # the canonical kernel is read off the RREF, which depends only on the
+    # row space: eliminating the triples in any order gives kernel_basis(M),
+    # which is why the cyclic-first stream may reorder them
+    algebras = moved_lie_algebras(field)
+    if data.draw(st.booleans()):
+        A = algebras[data.draw(st.integers(0, len(algebras) - 1))]
+    else:
+        A = random_algebra(data.draw(st.integers(3, 5)), field,
+                           data.draw(st.integers(0, 2**32 - 1)), bound=3)
+    n, M = A.dim, build_matrix(A)
+    if shape != "full":
+        M = restrict_columns(M, (diagonal_support if shape == "diag" else bidiagonal_support)(n))
+    order = data.draw(st.permutations(range(triple_count(n))))
+    rows = [row for t in order for row in M.int_rows[t * n : (t + 1) * n]]
+    got = linalg._kernel(field, *linalg._eliminate(rows, M.ncols, field.p), M.ncols)
+    assert got == _kernel_vectors(M)
+
+
 def test_certificate_falls_back_when_the_minor_is_singular():
     # over F_3 the cyclic minor is often singular while M has full rank;
-    # the elimination must then go on past the cyclic rows
+    # the elimination must then go on past the cyclic rows, and so must
+    # membership, for a map that only the cyclic rows annihilate
     fallbacks = 0
     for n in (4, 5, 6):
         for t in range(8):
-            M = build_matrix(random_algebra(n, PrimeField(3), rng.split(64 + n, t)))
+            A = random_algebra(n, PrimeField(3), rng.split(64 + n, t))
+            M = build_matrix(A)
             full = _assert_rank_matches_oracle(M)
             if full and rank_det_modp(_cyclic_rows(M), 3)[0] < M.ncols:
                 assert kernel_basis(M).maps == []
+                v = nullspace_modp(_cyclic_rows(M), M.ncols, 3)[0]
+                assert not is_in_kernel(A, LinearMap.from_flat(n, A.field, v), matrix=M)
                 fallbacks += 1
     assert fallbacks > 0
 
