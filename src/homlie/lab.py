@@ -90,7 +90,10 @@ def invariance_battery(A: SkewAlgebra, trials: int, seed: int) -> bool:
     transported kernel for every canonical kernel basis map f. The map
     tested is the integer product G·F·H of the lifts of g, f and g^-1
     (each lifted once): a nonzero integer multiple of g o f o g^-1, which
-    is in the kernel exactly when g o f o g^-1 is.
+    is in the kernel exactly when g o f o g^-1 is. The nullity of the
+    transported matrix keeps its echelon basis, and each membership test
+    reads that basis, not the transported matrix's rows (see
+    `system.is_in_kernel`).
     """
     if trials < 1:
         raise ValueError("need at least one trial")

@@ -39,8 +39,13 @@ is decided by those n^2 rows, and only the blocks of their pairs
 {i, i+1} and {i, i+2} are computed. Over Q the cyclic rows are first eliminated modulo one fixed
 prime, a one-sided step: full column rank there proves full column rank
 of M, and otherwise the exact pass decides, reading the same kept rows.
-`is_in_kernel` streams the triples in the same order and stops at the
-first nonzero product.
+The first `rank`, `nullity` or `kernel_basis` call keeps the echelon
+basis of that pass in the matrix, and `is_in_kernel` reads it: at full
+column rank only the zero map is in the kernel, and otherwise the pass
+read every row, so its at most n^2 pivot rows span the row space and
+membership is a dot product with each of them. A matrix with no echelon
+yet (`verify`) streams the triples in the same cyclic-first order and
+stops at the first nonzero product.
 """
 
 from __future__ import annotations
@@ -131,11 +136,12 @@ class HomJacobiMatrix:
     scale a positive integer, over F_p they are the residues and scale 1.
     The n rows of a triple are computed from the shared block table on
     their first read and kept; `int_rows` and `rows` are views of them
-    built on first read.
+    built on first read. `_echelon_form` keeps the (basis, pivots) of the
+    first elimination (see `_echelon`), which `is_in_kernel` reads.
     """
 
     __slots__ = ("dim", "field", "scale", "support", "_blocks", "_columns", "_triple_rows",
-                 "_int_rows", "_rows")
+                 "_int_rows", "_rows", "_echelon_form")
 
     def __init__(self, dim: int, field: Field, blocks: _Blocks, scale: int, support):
         self.dim = dim
@@ -148,7 +154,7 @@ class HomJacobiMatrix:
         for c, (p, q) in enumerate(support):
             self._columns[q - 1].append((c, p - 1))
         self._triple_rows = [None] * triple_count(dim)
-        self._int_rows = self._rows = None
+        self._int_rows = self._rows = self._echelon_form = None
 
     def _triple(self, t: int) -> list:
         """The n integer rows of the t-th triple (i, j, k) in lexicographic
@@ -256,21 +262,29 @@ def hom_jacobi_defect(A: SkewAlgebra, f: LinearMap) -> list:
 
 
 def is_in_kernel(A: SkewAlgebra, f: LinearMap, matrix: HomJacobiMatrix | None = None) -> bool:
-    """True iff the flattened map is annihilated by the Hom-Jacobi matrix:
-    the lifted flattening (checked when the map was made) dotted with the
-    integer rows, streamed cyclic triples first (see `_echelon`), up to the
-    first nonzero product."""
+    """True iff the flattened map is annihilated by the Hom-Jacobi matrix.
+
+    The map's lifted flattening (checked when the map was made) is tested
+    against the echelon basis M keeps once rank or kernel has run: at full
+    column rank the kernel is {0}, and otherwise the pivot rows span the
+    row space (the pass read every row), so it must be orthogonal to each
+    of them. With no echelon kept it is dotted with the integer rows,
+    streamed cyclic triples first (see `_echelon`), up to the first nonzero
+    product."""
     _check_same_space(A, f)
     M = matrix if matrix is not None else build_matrix(A)
     if M.ncols != f.dim ** 2:
         raise ShapeError(f"vector must have length {M.ncols}")
     v, _ = A.field.lift(f.flatten())
     p = A.field.p
-    # kept rows are read without a call per triple: the battery and `check`
-    # test maps against a matrix whose rows rank has already computed
-    kept = M._triple_rows
-    products = (sum(map(mul, row, v))
-                for t in _triples(M.dim)[1] for row in kept[t] or M._triple(t))
+    if M._echelon_form is not None:
+        basis, pivots = M._echelon_form
+        if len(pivots) == M.ncols:
+            return not any(v)
+        rows = basis
+    else:
+        rows = M._stream(_triples(M.dim)[1])
+    products = (sum(map(mul, row, v)) for row in rows)
     return not any(x % p if p else x for x in products)
 
 
@@ -292,16 +306,23 @@ def _echelon(M: HomJacobiMatrix) -> tuple[list, list[int]]:
     order. Over Q the cyclic rows are first eliminated mod _P; full column
     rank there proves it over Q (rank mod P <= rank over Q), and that
     result, whose rows callers do not read at full rank, is returned.
-    Otherwise the exact pass decides, reading the same kept rows.
+    Otherwise the exact pass decides, reading the same kept rows. A pass
+    that ends below full rank has read every row, so its basis then spans
+    M's row space. The result is kept in M on the first call and returned
+    by every later one: `_eliminate` and `_reduced` never modify the rows
+    they read.
     """
-    _, order, cyclic = _triples(M.dim)
-    p = M.field.p
-    if not p:
-        rows = M._stream(order[:cyclic])
-        mod_p = linalg._eliminate(([x % _P for x in row] for row in rows), M.ncols, _P)
-        if len(mod_p[1]) == M.ncols:
-            return mod_p
-    return linalg._eliminate(M._stream(order), M.ncols, p)
+    kept = M._echelon_form
+    if kept is None:
+        _, order, cyclic = _triples(M.dim)
+        p = M.field.p
+        if not p:
+            rows = M._stream(order[:cyclic])
+            kept = linalg._eliminate(([x % _P for x in row] for row in rows), M.ncols, _P)
+        if kept is None or len(kept[1]) < M.ncols:
+            kept = linalg._eliminate(M._stream(order), M.ncols, p)
+        M._echelon_form = kept
+    return kept
 
 
 def kernel_basis(M: HomJacobiMatrix) -> KernelBasis:

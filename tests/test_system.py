@@ -3,9 +3,10 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from homlie import (
+    HomJacobiMatrix,
     LinearMap,
     PrimeField,
     ShapeError,
@@ -21,8 +22,10 @@ from homlie import (
     make_algebra,
     nullity,
     random_algebra,
+    random_invertible_map,
     random_linear_map,
     rank,
+    reduce_mod,
     restrict_columns,
     rng,
     triple_count,
@@ -283,7 +286,8 @@ def test_generic_rank_reads_only_the_cyclic_rows(monkeypatch, fp, qq):
     # generic M reaches full column rank on its first n^2 rows (over Q in
     # the mod-P step alone), which need only the blocks of the cyclic pairs
     # {i, i+1} and {i, i+2}: 2n of the n(n-1)/2 pairs for n >= 6. Neither
-    # rank nor the empty kernel back-substitutes
+    # rank nor the empty kernel back-substitutes, and a second call on the
+    # same M reads its kept echelon and no row
     eliminate = linalg._eliminate
     read = []
 
@@ -312,7 +316,8 @@ def test_generic_rank_reads_only_the_cyclic_rows(monkeypatch, fp, qq):
         assert len(pairs) == (2 * n if n >= 5 else 6)
         assert n < 6 or len(pairs) < n * (n - 1) // 2
         read.clear()
-        assert kernel_basis(M).maps == [] and read == cyclic_rows
+        assert rank(M) == n * n and kernel_basis(M).maps == [] and read == []
+        assert kernel_basis(build_matrix(A)).maps == [] and read == cyclic_rows
 
 
 LAZY_FIELDS = (PrimeField(2), PrimeField(3), PrimeField(10007), QQ)
@@ -384,6 +389,146 @@ def test_kernel_does_not_depend_on_the_row_order(data, field, shape):
     rows = [row for t in order for row in M.int_rows[t * n : (t + 1) * n]]
     got = linalg._kernel(field, *linalg._eliminate(rows, M.ncols, field.p), M.ncols)
     assert got == _kernel_vectors(M)
+
+
+def _eliminations(monkeypatch) -> list:
+    """Spy on linalg._eliminate: the list it returns gets the modulus of
+    each call, 0 over Q."""
+    eliminate, moduli = linalg._eliminate, []
+
+    def spy(rows, ncols, p):
+        moduli.append(p)
+        return eliminate(rows, ncols, p)
+
+    monkeypatch.setattr(linalg, "_eliminate", spy)
+    return moduli
+
+
+def _membership_cases(field):
+    """(kind, algebra) at n = 3..7: generic (full rank from n = 4 over a
+    large field), moved Lie algebras (rank deficient) and abelian (every
+    row zero)."""
+    cases = [("generic", random_algebra(n, field, rng.split(67, n), bound=3)) for n in range(3, 8)]
+    cases += [("moved", A) for A in moved_lie_algebras(field)]
+    cases += [("moved", moved(A, rng.split(68, t))) for t, A in enumerate(lie_algebras(field).values())]
+    cases += [("abelian", make_algebra(n, field, [])) for n in range(3, 8)]
+    return cases
+
+
+def _membership_maps(A, seed: int) -> list:
+    """Every kernel map (found on a matrix of its own), each with one
+    seeded entry changed by 1, Id, the zero map and a seeded random map."""
+    n, field = A.dim, A.field
+    maps = [LinearMap.identity(n, field), LinearMap.zero(n, field), random_linear_map(n, field, seed)]
+    s = rng.stream(seed, 1)
+    for f in kernel_basis(build_matrix(A)).maps:
+        flat = f.flatten()
+        flat[s.below(n * n)] += 1
+        maps += [f, LinearMap.from_flat(n, field, flat)]
+    return maps
+
+
+def _integers(values) -> list:
+    """Rationals (or ints) scaled to integers by their common denominator."""
+    d = math.lcm(*(Fraction(x).denominator for x in values))
+    return [int(x * d) for x in values]
+
+
+def test_membership_against_the_kept_echelon_matches_the_oracle(monkeypatch):
+    # a fresh matrix streams its rows; after rank the matrix tests against
+    # the echelon it kept: {0} at full column rank, otherwise its pivot
+    # rows. Both must agree with M.v = 0 on rows built from the definition,
+    # each lifted to integers (a nonzero multiple), reduced mod p over F_p
+    moduli = _eliminations(monkeypatch)
+    decided_mod_p = 0
+    for field in LAZY_FIELDS:
+        p = field.p
+        for t, (kind, A) in enumerate(_membership_cases(field)):
+            n = A.dim
+            rows = hom_jacobi_rows(A.constants, n)
+            if p:
+                rows = [[int(x) % p for x in row] for row in rows]
+            int_rows = [row for row in map(_integers, rows) if any(row)]
+            M = build_matrix(A)
+            moduli.clear()
+            r = rank(M)
+            assert r == _oracle_rank_and_kernel(rows, n * n, p)[0]
+            if kind == "abelian":
+                assert r == 0
+            elif kind == "moved":
+                assert r < n * n
+            elif not p and n >= 4:
+                assert r == n * n
+                decided_mod_p += moduli == [CERTIFICATE_PRIME]
+            fresh = build_matrix(A)
+            for f in _membership_maps(A, rng.split(69 + t, n)):
+                v = _integers(f.flatten())
+                products = (sum(a * b for a, b in zip(row, v)) for row in int_rows)
+                expected = not any(x % p if p else x for x in products)
+                assert is_in_kernel(A, f, matrix=fresh) == expected, (field, kind, n)
+                assert fresh._echelon_form is None
+                assert is_in_kernel(A, f, matrix=M) == expected, (field, kind, n)
+    assert decided_mod_p == 4
+
+
+def test_membership_after_rank_reads_no_row(monkeypatch):
+    # once rank has run, membership computes no triple rows and eliminates
+    # nothing; once kernel_basis has run, rank eliminates nothing either
+    triples = []
+    triple = HomJacobiMatrix._triple
+
+    def spy(M, t):
+        triples.append(t)
+        return triple(M, t)
+
+    monkeypatch.setattr(HomJacobiMatrix, "_triple", spy)
+    moduli = _eliminations(monkeypatch)
+    for field in LAZY_FIELDS:
+        for A in moved_lie_algebras(field) + [make_algebra(5, field, [])]:
+            n, M = A.dim, build_matrix(A)
+            r = rank(M)
+            assert r < n * n and triples and moduli
+            maps = _membership_maps(A, rng.split(70, n))
+            triples.clear()
+            moduli.clear()
+            for f in maps:
+                is_in_kernel(A, f, matrix=M)
+            assert triples == [] and moduli == []
+            K = build_matrix(A)
+            basis = kernel_basis(K)
+            moduli.clear()
+            assert rank(K) == r == n * n - basis.nullity and moduli == []
+
+
+def _lie_algebra(field, n: int, seed: int):
+    """One of the Lie algebras of dimension n (3 to 5) over field that the
+    samples provide, chosen by seed: its Hom-Jacobi matrix is rank deficient."""
+    pool = [A for A in moved_lie_algebras(field) + list(lie_algebras(field).values()) if A.dim == n]
+    return pool[seed % len(pool)]
+
+
+@settings(max_examples=30)
+@given(field=st.sampled_from(LAZY_FIELDS), n=st.integers(3, 5), seed=st.integers(0, 2**32 - 1))
+def test_nullity_is_a_transport_invariant(field, n, seed):
+    # A and A.transport(g) are isomorphic, so their Hom-Jacobi systems have
+    # kernels of the same dimension
+    g = random_invertible_map(n, field, seed, bound=3)
+    for A in (random_algebra(n, field, rng.split(seed, 1), bound=3), _lie_algebra(field, n, seed)):
+        assert nullity(build_matrix(A.transport(g))) == nullity(build_matrix(A))
+
+
+@settings(max_examples=30)
+@given(p=st.sampled_from([2, 3, 5, 7, 10007]), n=st.integers(3, 5), seed=st.integers(0, 2**32 - 1),
+       lie=st.booleans())
+def test_reduction_mod_p_never_lowers_the_nullity(p, n, seed, lie):
+    # the rows over F_p are the reductions of the integer rows, whose rank
+    # mod p is at most their rank over Q; a Lie algebra moved by a seeded
+    # map has denominators, and primes dividing one have no reduction
+    A = moved(_lie_algebra(QQ, n, seed), seed) if lie else random_algebra(n, QQ, seed, bound=5)
+    assume(all(x.denominator % p for vec in A.constants.values() for x in vec))
+    B = make_algebra(n, PrimeField(p), [(i, j, [reduce_mod(x, p) for x in vec])
+                                        for (i, j), vec in A.constants.items()])
+    assert nullity(build_matrix(B)) >= nullity(build_matrix(A))
 
 
 def test_certificate_falls_back_when_the_minor_is_singular():
