@@ -39,13 +39,12 @@ is decided by those n^2 rows, and only the blocks of their pairs
 {i, i+1} and {i, i+2} are computed. Over Q the cyclic rows are first eliminated modulo one fixed
 prime, a one-sided step: full column rank there proves full column rank
 of M, and otherwise the exact pass decides, reading the same kept rows.
-The first `rank`, `nullity` or `kernel_basis` call keeps the echelon
-basis of that pass in the matrix, and `is_in_kernel` reads it: at full
-column rank only the zero map is in the kernel, and otherwise the pass
-read every row, so its at most n^2 pivot rows span the row space and
-membership is a dot product with each of them. A matrix with no echelon
-yet (`verify`) streams the triples in the same cyclic-first order and
-stops at the first nonzero product.
+The matrix keeps the echelon basis of that pass, made by its first
+`rank`, `nullity`, `kernel_basis` or `is_in_kernel` call, and every later
+call reads it. Membership reads no row of M: at full column rank only the
+zero map is in the kernel, and otherwise the pass read every row, so its
+at most n^2 pivot rows span the row space and membership is a dot product
+with each of them.
 """
 
 from __future__ import annotations
@@ -265,26 +264,20 @@ def is_in_kernel(A: SkewAlgebra, f: LinearMap, matrix: HomJacobiMatrix | None = 
     """True iff the flattened map is annihilated by the Hom-Jacobi matrix.
 
     The map's lifted flattening (checked when the map was made) is tested
-    against the echelon basis M keeps once rank or kernel has run: at full
-    column rank the kernel is {0}, and otherwise the pivot rows span the
-    row space (the pass read every row), so it must be orthogonal to each
-    of them. With no echelon kept it is dotted with the integer rows,
-    streamed cyclic triples first (see `_echelon`), up to the first nonzero
-    product."""
+    against M's echelon basis (see `_echelon`), kept from an earlier rank
+    or kernel or computed now: at full column rank the kernel is {0}, and
+    otherwise the pivot rows span the row space (the pass read every row),
+    so it must be orthogonal to each of them."""
     _check_same_space(A, f)
     M = matrix if matrix is not None else build_matrix(A)
     if M.ncols != f.dim ** 2:
         raise ShapeError(f"vector must have length {M.ncols}")
     v, _ = A.field.lift(f.flatten())
     p = A.field.p
-    if M._echelon_form is not None:
-        basis, pivots = M._echelon_form
-        if len(pivots) == M.ncols:
-            return not any(v)
-        rows = basis
-    else:
-        rows = M._stream(_triples(M.dim)[1])
-    products = (sum(map(mul, row, v)) for row in rows)
+    basis, pivots = _echelon(M)
+    if len(pivots) == M.ncols:
+        return not any(v)
+    products = (sum(map(mul, row, v)) for row in basis)
     return not any(x % p if p else x for x in products)
 
 

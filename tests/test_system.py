@@ -435,10 +435,11 @@ def _integers(values) -> list:
 
 
 def test_membership_against_the_kept_echelon_matches_the_oracle(monkeypatch):
-    # a fresh matrix streams its rows; after rank the matrix tests against
-    # the echelon it kept: {0} at full column rank, otherwise its pivot
-    # rows. Both must agree with M.v = 0 on rows built from the definition,
-    # each lifted to integers (a nonzero multiple), reduced mod p over F_p
+    # membership reads M's echelon: {0} at full column rank, otherwise its
+    # pivot rows. On a fresh matrix the first membership test makes the
+    # echelon, after rank it is the one rank kept. Both must agree with
+    # M.v = 0 on rows built from the definition, each lifted to integers
+    # (a nonzero multiple), reduced mod p over F_p
     moduli = _eliminations(monkeypatch)
     decided_mod_p = 0
     for field in LAZY_FIELDS:
@@ -466,7 +467,6 @@ def test_membership_against_the_kept_echelon_matches_the_oracle(monkeypatch):
                 products = (sum(a * b for a, b in zip(row, v)) for row in int_rows)
                 expected = not any(x % p if p else x for x in products)
                 assert is_in_kernel(A, f, matrix=fresh) == expected, (field, kind, n)
-                assert fresh._echelon_form is None
                 assert is_in_kernel(A, f, matrix=M) == expected, (field, kind, n)
     assert decided_mod_p == 4
 
@@ -533,8 +533,9 @@ def test_reduction_mod_p_never_lowers_the_nullity(p, n, seed, lie):
 
 def test_certificate_falls_back_when_the_minor_is_singular():
     # over F_3 the cyclic minor is often singular while M has full rank;
-    # the elimination must then go on past the cyclic rows, and so must
-    # membership, for a map that only the cyclic rows annihilate
+    # the elimination must then go on past the cyclic rows, whether rank,
+    # kernel or membership runs it first, for a map that only the cyclic
+    # rows annihilate
     fallbacks = 0
     for n in (4, 5, 6):
         for t in range(8):
@@ -543,8 +544,9 @@ def test_certificate_falls_back_when_the_minor_is_singular():
             full = _assert_rank_matches_oracle(M)
             if full and rank_det_modp(_cyclic_rows(M), 3)[0] < M.ncols:
                 assert kernel_basis(M).maps == []
-                v = nullspace_modp(_cyclic_rows(M), M.ncols, 3)[0]
-                assert not is_in_kernel(A, LinearMap.from_flat(n, A.field, v), matrix=M)
+                f = LinearMap.from_flat(n, A.field, nullspace_modp(_cyclic_rows(M), M.ncols, 3)[0])
+                assert not is_in_kernel(A, f, matrix=M)
+                assert not is_in_kernel(A, f, matrix=build_matrix(A))
                 fallbacks += 1
     assert fallbacks > 0
 
