@@ -93,7 +93,9 @@ def invariance_battery(A: SkewAlgebra, trials: int, seed: int) -> bool:
     is in the kernel exactly when g o f o g^-1 is. The nullity of the
     transported matrix keeps its echelon basis, and each membership test
     reads that basis, not the transported matrix's rows (see
-    `system.is_in_kernel`).
+    `system.is_in_kernel`). A keeps its matrix and the matrix its kernel
+    maps (see `system.build_matrix`), so the base system is eliminated on
+    the first call for A only.
     """
     if trials < 1:
         raise ValueError("need at least one trial")

@@ -5,6 +5,7 @@ import pytest
 import homlie.lab
 from homlie import (
     LinearMap,
+    PrimeField,
     build_matrix,
     genericity_experiment,
     invariance_battery,
@@ -17,6 +18,8 @@ from homlie import (
     rng,
 )
 from homlie.lab import catalog
+
+from samples import fresh_matrix
 
 
 def test_catalog_expectations_hold(named):
@@ -125,10 +128,28 @@ def test_invariance_battery_tests_each_conjugated_kernel_map(named, fp, monkeypa
 
         gs = [random_invertible_map(A.dim, A.field, rng.split(95, t)) for t in range(trials)]
         assert inverted == [g for g in gs for _ in range(2)]
-        base = kernel_basis(build_matrix(A)).maps
+        base = kernel_basis(fresh_matrix(A)).maps
         expected = [g.compose(f).compose(g.inverse()) for g in gs for f in base]
         assert len(seen) == len(expected) == len(base) * trials
         assert all(_is_nonzero_multiple(got, want) for got, want in zip(seen, expected))
+
+
+def test_invariance_battery_reads_the_base_kernel_once(monkeypatch):
+    # the battery's algebra keeps its matrix, and the matrix its kernel:
+    # only the first of two calls reads a kernel off an RREF (the moved
+    # matrices need only their nullity and membership)
+    kernel, calls = homlie.linalg._kernel, []
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(homlie.linalg, "_kernel", counted)
+    for A in (catalog()[-1].algebra, random_algebra(4, PrimeField(7), seed=96)):
+        calls.clear()
+        assert invariance_battery(A, 1, 97) is True
+        assert invariance_battery(A, 1, 98) is True
+        assert len(calls) == 1
 
 
 def test_invariance_battery_validates_trials(named):
