@@ -24,18 +24,19 @@ DEFAULT_BOUND = 10
 class SkewAlgebra:
     """Immutable skew-symmetric algebra over an exact field.
 
-    `_matrix` keeps the algebra's Hom-Jacobi matrix, made by the first
-    `system.build_matrix` call and returned by every later one. The memo
-    relies on immutability: `constants` must never be changed in place.
+    `_kernel` keeps the tuple of canonical kernel maps that the first
+    `lab.invariance_battery` call for the algebra computes; later calls
+    read it. The memo relies on immutability: `constants` must never be
+    changed in place.
     """
 
-    __slots__ = ("dim", "field", "constants", "_matrix")
+    __slots__ = ("dim", "field", "constants", "_kernel")
 
     def __init__(self, dim: int, field: Field, constants: dict):
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "constants", constants)
-        object.__setattr__(self, "_matrix", None)
+        object.__setattr__(self, "_kernel", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SkewAlgebra is immutable")

@@ -23,16 +23,14 @@ kernel. Twisting maps of a given shape only select unknowns:
 `restrict_columns` returns the HomJacobiMatrix of the chosen columns, and
 `rank`, `nullity` and `kernel_basis` serve it like the full matrix.
 
-`build_matrix` checks the size and, on its first call for an algebra,
-lifts the constants; the algebra keeps that matrix, and every later call
-returns it with all it has kept. The matrix computes its rows lazily, the
-n rows of one triple at a time, and keeps them. The rows of a triple
-need the blocks mu(mu(e_u,e_v), e_p) of its three pairs. Each block is
-computed on first use from the n - 1 stored pairs that contain p, and
-kept in a block table that every restriction of the matrix shares. Over
-Q the constants are lifted to integers by their common denominator d; M
-is quadratic in them, so the rows are the integers d^2 M, which rank,
-kernel, membership and the determinant read.
+`build_matrix` only checks the size and lifts the constants; the matrix
+computes its rows lazily, the n rows of one triple at a time, and keeps
+them. The rows of a triple need the blocks mu(mu(e_u,e_v), e_p) of its
+three pairs. Each block is computed on first use from the n - 1 stored
+pairs that contain p, and kept in a block table that every restriction of
+the matrix shares. Over Q the constants are lifted to integers by their
+common denominator d; M is quadratic in them, so the rows are the integers
+d^2 M, which rank, kernel, membership and the determinant read.
 `int_rows` assembles the kept rows in the frozen order on first read, and
 `rows` makes `Fraction`s from them only when read. `rank` and
 `kernel_basis` stream the triples, the n cyclic triples first, through one
@@ -46,8 +44,7 @@ The matrix keeps the echelon basis of that pass, made by its first
 call reads it. Membership reads no row of M: at full column rank only the
 zero map is in the kernel, and otherwise the pass read every row, so its
 at most n^2 pivot rows span the row space and membership is a dot product
-with each of them. The first `kernel_basis` call keeps the kernel maps in
-the matrix, so the kernel of an algebra is read off its echelon once.
+with each of them.
 """
 
 from __future__ import annotations
@@ -139,12 +136,11 @@ class HomJacobiMatrix:
     The n rows of a triple are computed from the shared block table on
     their first read and kept; `int_rows` and `rows` are views of them
     built on first read. `_echelon_form` keeps the (basis, pivots) of the
-    first elimination (see `_echelon`), which `is_in_kernel` reads, and
-    `_kernel` the maps of the first `kernel_basis`.
+    first elimination (see `_echelon`), which `is_in_kernel` reads.
     """
 
     __slots__ = ("dim", "field", "scale", "support", "_blocks", "_columns", "_triple_rows",
-                 "_int_rows", "_rows", "_echelon_form", "_kernel")
+                 "_int_rows", "_rows", "_echelon_form")
 
     def __init__(self, dim: int, field: Field, blocks: _Blocks, scale: int, support):
         self.dim = dim
@@ -157,7 +153,7 @@ class HomJacobiMatrix:
         for c, (p, q) in enumerate(support):
             self._columns[q - 1].append((c, p - 1))
         self._triple_rows = [None] * triple_count(dim)
-        self._int_rows = self._rows = self._echelon_form = self._kernel = None
+        self._int_rows = self._rows = self._echelon_form = None
 
     def _triple(self, t: int) -> list:
         """The n integer rows of the t-th triple (i, j, k) in lexicographic
@@ -232,25 +228,19 @@ def check_size(n: int) -> None:
 
 
 def build_matrix(A: SkewAlgebra) -> HomJacobiMatrix:
-    """The Hom-Jacobi matrix of an algebra, kept in A.
+    """The Hom-Jacobi matrix of an algebra, with no row computed yet.
 
-    The first call makes the matrix with no row computed yet and keeps it
-    in A; every later call returns that same object, with the rows, blocks,
-    echelon and kernel it has kept. For n < 3 there are no triples and the
-    matrix has zero rows (every endomorphism is a twisting map). Over Q the
-    structure constants are lifted by their common denominator d, so the
-    rows, computed per triple when first read, are the integers d^2 M.
-    Raises ShapeError above MAX_ENTRIES entries, on every call.
+    For n < 3 there are no triples and the matrix has zero rows (every
+    endomorphism is a twisting map). Over Q the structure constants are
+    lifted by their common denominator d, so the rows, computed per triple
+    when first read, are the integers d^2 M. Raises ShapeError above
+    MAX_ENTRIES entries.
     """
     n = A.dim
     check_size(n)
-    M = A._matrix
-    if M is None:
-        C, d = _lift_constants(A)
-        support = tuple((p, q) for q in range(1, n + 1) for p in range(1, n + 1))
-        M = HomJacobiMatrix(n, A.field, _Blocks(n, A.field, C), d * d, support)
-        object.__setattr__(A, "_matrix", M)
-    return M
+    C, d = _lift_constants(A)
+    support = tuple((p, q) for q in range(1, n + 1) for p in range(1, n + 1))
+    return HomJacobiMatrix(n, A.field, _Blocks(n, A.field, C), d * d, support)
 
 
 def hom_jacobi_defect(A: SkewAlgebra, f: LinearMap) -> list:
@@ -331,19 +321,15 @@ def _echelon(M: HomJacobiMatrix) -> tuple[list, list[int]]:
 def kernel_basis(M: HomJacobiMatrix) -> KernelBasis:
     """Canonical kernel basis read off the RREF of M's echelon basis; empty,
     with no back-substitution, at full column rank. Each kernel vector
-    becomes a map through M.support, zero elsewhere. The first call keeps
-    the maps in M as a tuple; every call returns a fresh list of those
-    immutable maps, so a caller that changes the list changes no kept state."""
-    kept = M._kernel
-    if kept is None:
-        n, maps = M.dim, []
-        for v in linalg._kernel(M.field, *_echelon(M), M.ncols):
-            flat = [M.field.zero] * (n * n)
-            for (p, q), x in zip(M.support, v):
-                flat[(q - 1) * n + (p - 1)] = x
-            maps.append(LinearMap.from_flat(n, M.field, flat))
-        kept = M._kernel = tuple(maps)
-    return KernelBasis(list(kept))
+    becomes a map through M.support, zero elsewhere."""
+    n = M.dim
+    maps = []
+    for v in linalg._kernel(M.field, *_echelon(M), M.ncols):
+        flat = [M.field.zero] * (n * n)
+        for (p, q), x in zip(M.support, v):
+            flat[(q - 1) * n + (p - 1)] = x
+        maps.append(LinearMap.from_flat(n, M.field, flat))
+    return KernelBasis(maps)
 
 
 def rank(M: HomJacobiMatrix) -> int:

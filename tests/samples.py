@@ -5,7 +5,7 @@ are rank deficient (the identity is a twisting map) while their structure
 constants look generic.
 """
 
-from homlie import SkewAlgebra, build_matrix, make_algebra, random_invertible_map, reduce_mod, rng
+from homlie import make_algebra, random_invertible_map, reduce_mod, rng
 from homlie.lab import catalog
 
 # Lie algebras as (dim, [(i, j, {k: coefficient of e_k in [e_i, e_j]})])
@@ -37,12 +37,6 @@ def lie_algebras(field) -> dict:
         "sl2+h3": direct_sum(field, SL2, H3),
         "sl2+sl2": direct_sum(field, SL2, SL2),
     }
-
-
-def fresh_matrix(A):
-    """The Hom-Jacobi matrix of an algebra equal to A but distinct from it:
-    A keeps its own matrix, and this one shares none of its kept state."""
-    return build_matrix(SkewAlgebra(A.dim, A.field, dict(A.constants)))
 
 
 def moved(A, seed: int, bound: int = 3):

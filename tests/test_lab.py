@@ -6,6 +6,7 @@ import homlie.lab
 from homlie import (
     LinearMap,
     PrimeField,
+    SkewAlgebra,
     build_matrix,
     genericity_experiment,
     invariance_battery,
@@ -18,8 +19,6 @@ from homlie import (
     rng,
 )
 from homlie.lab import catalog
-
-from samples import fresh_matrix
 
 
 def test_catalog_expectations_hold(named):
@@ -128,28 +127,39 @@ def test_invariance_battery_tests_each_conjugated_kernel_map(named, fp, monkeypa
 
         gs = [random_invertible_map(A.dim, A.field, rng.split(95, t)) for t in range(trials)]
         assert inverted == [g for g in gs for _ in range(2)]
-        base = kernel_basis(fresh_matrix(A)).maps
+        base = kernel_basis(build_matrix(A)).maps
         expected = [g.compose(f).compose(g.inverse()) for g in gs for f in base]
         assert len(seen) == len(expected) == len(base) * trials
         assert all(_is_nonzero_multiple(got, want) for got, want in zip(seen, expected))
 
 
-def test_invariance_battery_reads_the_base_kernel_once(monkeypatch):
-    # the battery's algebra keeps its matrix, and the matrix its kernel:
-    # only the first of two calls reads a kernel off an RREF (the moved
-    # matrices need only their nullity and membership)
+def test_invariance_battery_keeps_the_base_kernel(monkeypatch):
+    # the first battery on an algebra keeps its base kernel maps, those of a
+    # fresh kernel_basis; a later call reads no kernel off an RREF (the moved
+    # matrices need only their nullity and membership). An equal but distinct
+    # algebra and a transported one (even by Id) keep kernels of their own
     kernel, calls = homlie.linalg._kernel, []
 
     def counted(*args):
         calls.append(args)
         return kernel(*args)
 
-    monkeypatch.setattr(homlie.linalg, "_kernel", counted)
     for A in (catalog()[-1].algebra, random_algebra(4, PrimeField(7), seed=96)):
+        expected = kernel_basis(build_matrix(A)).maps
+        monkeypatch.setattr(homlie.linalg, "_kernel", counted)
         calls.clear()
-        assert invariance_battery(A, 1, 97) is True
-        assert invariance_battery(A, 1, 98) is True
-        assert len(calls) == 1
+        assert invariance_battery(A, 1, 97) is True and len(calls) == 1
+        assert invariance_battery(A, 1, 98) is True and len(calls) == 1
+        assert A._kernel == tuple(expected)
+        twin = SkewAlgebra(A.dim, A.field, dict(A.constants))
+        moved_by_id = A.transport(LinearMap.identity(A.dim, A.field))
+        for count, B in enumerate((twin, moved_by_id), start=2):
+            assert B == A and B._kernel is None
+            assert invariance_battery(B, 1, 99) is True and len(calls) == count
+            assert B._kernel == A._kernel
+        with pytest.raises(AttributeError):
+            A._kernel = None
+        monkeypatch.undo()
 
 
 def test_invariance_battery_validates_trials(named):

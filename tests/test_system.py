@@ -10,7 +10,6 @@ from homlie import (
     LinearMap,
     PrimeField,
     ShapeError,
-    SkewAlgebra,
     build_matrix,
     determinant,
     diagonal_support,
@@ -33,12 +32,12 @@ from homlie import (
 )
 from homlie.field import QQ
 from homlie.lab import catalog
-from homlie import linalg, system
+from homlie import linalg
 from homlie.system import MAX_ENTRIES, check_size
 
 from oracles import (hom_jacobi_rows, mat_vec, nullspace_fraction, nullspace_modp, rank_det_modp,
                      rank_fraction, skew_product)
-from samples import fresh_matrix, lie_algebras, moved, moved_lie_algebras
+from samples import lie_algebras, moved, moved_lie_algebras
 
 # the prime modulo which the cyclic rows are first eliminated over Q
 CERTIFICATE_PRIME = 1073741789
@@ -287,8 +286,8 @@ def test_generic_rank_reads_only_the_cyclic_rows(monkeypatch, fp, qq):
     # generic M reaches full column rank on its first n^2 rows (over Q in
     # the mod-P step alone), which need only the blocks of the cyclic pairs
     # {i, i+1} and {i, i+2}: 2n of the n(n-1)/2 pairs for n >= 6. Neither
-    # rank nor the empty kernel back-substitutes, a second call on the
-    # same M reads its kept echelon and no row, and A keeps M itself
+    # rank nor the empty kernel back-substitutes, and a second call on the
+    # same M reads its kept echelon and no row
     eliminate = linalg._eliminate
     read = []
 
@@ -318,8 +317,7 @@ def test_generic_rank_reads_only_the_cyclic_rows(monkeypatch, fp, qq):
         assert n < 6 or len(pairs) < n * (n - 1) // 2
         read.clear()
         assert rank(M) == n * n and kernel_basis(M).maps == [] and read == []
-        assert build_matrix(A) is M and read == []
-        assert kernel_basis(fresh_matrix(A)).maps == [] and read == cyclic_rows
+        assert kernel_basis(build_matrix(A)).maps == [] and read == cyclic_rows
 
 
 LAZY_FIELDS = (PrimeField(2), PrimeField(3), PrimeField(10007), QQ)
@@ -364,7 +362,7 @@ def test_lazy_rows_rank_and_kernel_match_the_oracles():
                 rows = [[row[(q - 1) * n + a - 1] for a, q in R.support] for row in whole]
                 r, kernel = _oracle_rank_and_kernel(rows, R.ncols, p)
                 assert rank(R) == r and _kernel_vectors(R) == kernel, (field, n, support)
-                fresh = fresh_matrix(A)
+                fresh = build_matrix(A)
                 if support is not None:
                     fresh = restrict_columns(fresh, support)
                 assert R.int_rows == fresh.int_rows
@@ -423,7 +421,7 @@ def _membership_maps(A, seed: int) -> list:
     n, field = A.dim, A.field
     maps = [LinearMap.identity(n, field), LinearMap.zero(n, field), random_linear_map(n, field, seed)]
     s = rng.stream(seed, 1)
-    for f in kernel_basis(fresh_matrix(A)).maps:
+    for f in kernel_basis(build_matrix(A)).maps:
         flat = f.flatten()
         flat[s.below(n * n)] += 1
         maps += [f, LinearMap.from_flat(n, field, flat)]
@@ -463,7 +461,7 @@ def test_membership_against_the_kept_echelon_matches_the_oracle(monkeypatch):
             elif not p and n >= 4:
                 assert r == n * n
                 decided_mod_p += moduli == [CERTIFICATE_PRIME]
-            fresh = fresh_matrix(A)
+            fresh = build_matrix(A)
             for f in _membership_maps(A, rng.split(69 + t, n)):
                 v = _integers(f.flatten())
                 products = (sum(a * b for a, b in zip(row, v)) for row in int_rows)
@@ -496,79 +494,10 @@ def test_membership_after_rank_reads_no_row(monkeypatch):
             for f in maps:
                 is_in_kernel(A, f, matrix=M)
             assert triples == [] and moduli == []
-            K = fresh_matrix(A)
+            K = build_matrix(A)
             basis = kernel_basis(K)
             moduli.clear()
             assert rank(K) == r == n * n - basis.nullity and moduli == []
-
-
-def test_an_algebra_keeps_its_matrix(fp, qq):
-    # build_matrix makes the matrix once per algebra object: an equal but
-    # distinct algebra, or a transported one (even by Id), gets its own
-    for A in (random_algebra(4, fp, seed=71), make_algebra(3, qq, [(1, 2, [0, 0, 1])])):
-        M = build_matrix(A)
-        assert build_matrix(A) is M
-        twin = SkewAlgebra(A.dim, A.field, dict(A.constants))
-        assert twin == A and build_matrix(twin) is not M
-        moved_by_id = A.transport(LinearMap.identity(A.dim, A.field))
-        assert moved_by_id == A and build_matrix(moved_by_id) is not M
-        with pytest.raises(AttributeError):
-            A._matrix = None
-        assert build_matrix(A) is M
-
-
-def test_build_matrix_checks_the_size_when_a_matrix_is_kept(qq, monkeypatch):
-    A = make_algebra(4, qq, [])
-    build_matrix(A)
-    monkeypatch.setattr(system, "MAX_ENTRIES", 4 * 4 * 16 - 1)
-    with pytest.raises(ShapeError, match="above the limit"):
-        build_matrix(A)
-
-
-def test_a_matrix_keeps_its_kernel(monkeypatch):
-    # the second kernel_basis eliminates nothing and reads nothing off the
-    # RREF; each call returns a list of its own, so clearing one leaves the
-    # next unchanged
-    eliminate, kernel, calls = linalg._eliminate, linalg._kernel, []
-
-    def spy(name, function):
-        def counted(*args):
-            calls.append(name)
-            return function(*args)
-        return counted
-
-    monkeypatch.setattr(linalg, "_eliminate", spy("eliminate", eliminate))
-    monkeypatch.setattr(linalg, "_kernel", spy("kernel", kernel))
-    for field in LAZY_FIELDS:
-        for A in moved_lie_algebras(field) + [make_algebra(4, field, [])]:
-            M = build_matrix(A)
-            first = kernel_basis(M)
-            assert "kernel" in calls and first.nullity > 0
-            expected = list(first.maps)
-            calls.clear()
-            first.maps.clear()
-            second = kernel_basis(M)
-            assert calls == [] and second.maps == expected
-            assert kernel_basis(build_matrix(A)).maps == expected and calls == []
-
-
-def test_a_restriction_keeps_a_kernel_of_its_own():
-    # a restriction shares the whole matrix's blocks, not its kernel: after
-    # kernel_basis(M), each restriction still matches the oracle, and the
-    # whole kernel stays the one kept first
-    for field in LAZY_FIELDS:
-        p = field.p
-        for A in moved_lie_algebras(field):
-            n, M = A.dim, build_matrix(A)
-            whole = kernel_basis(M).maps
-            rows = hom_jacobi_rows(A.constants, n)
-            if p:
-                rows = [[int(x) % p for x in row] for row in rows]
-            for support in (diagonal_support(n), bidiagonal_support(n)):
-                R = restrict_columns(M, support)
-                chosen = [[row[(q - 1) * n + a - 1] for a, q in R.support] for row in rows]
-                assert _kernel_vectors(R) == _oracle_rank_and_kernel(chosen, R.ncols, p)[1]
-            assert kernel_basis(M).maps == whole
 
 
 def _lie_algebra(field, n: int, seed: int):
@@ -617,7 +546,7 @@ def test_certificate_falls_back_when_the_minor_is_singular():
                 assert kernel_basis(M).maps == []
                 f = LinearMap.from_flat(n, A.field, nullspace_modp(_cyclic_rows(M), M.ncols, 3)[0])
                 assert not is_in_kernel(A, f, matrix=M)
-                assert not is_in_kernel(A, f, matrix=fresh_matrix(A))
+                assert not is_in_kernel(A, f, matrix=build_matrix(A))
                 fallbacks += 1
     assert fallbacks > 0
 
