@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from . import rng
-from .algebra import (LinearMap, SkewAlgebra, _mat_mul, make_algebra, random_algebra,
-                      random_invertible_map)
+from .algebra import LinearMap, SkewAlgebra, make_algebra, random_algebra, random_invertible_map
 from .field import QQ, Field, PrimeField, _lift_rows
 from .system import (bidiagonal_support, build_matrix, check_size, is_in_kernel, kernel_basis,
                      nullity, rank as matrix_rank, restrict_columns)
@@ -90,21 +89,31 @@ def invariance_battery(A: SkewAlgebra, trials: int, seed: int) -> bool:
     transported kernel for every canonical kernel basis map f. The map
     tested is the integer product G·F·H of the lifts of g, f and g^-1
     (each lifted once): a nonzero integer multiple of g o f o g^-1, which
-    is in the kernel exactly when g o f o g^-1 is. The nullity of the
-    transported matrix keeps its echelon basis, and each membership test
-    reads that basis, not the transported matrix's rows (see
+    is in the kernel exactly when g o f o g^-1 is. It is formed from F's
+    nonzero entries a_pq: column q of G·F is the sum of a_pq·G[:, p], and
+    column r of G·F·H the sum of H[q, r]·(G·F)[:, q] over F's nonzero
+    columns q. That is nnz(F)·n + |cols(F)|·n² integer multiplications,
+    never more than the 2n³ of two dense products (n + n² for a map with
+    one nonzero entry), and the same integers as G·(F·H). The nullity of
+    the transported matrix keeps its echelon basis, and each membership
+    test reads that basis, not the transported matrix's rows (see
     `system.is_in_kernel`). A keeps its base kernel maps (and nothing else
     of its system) from the first call, so only that call eliminates A's
     own matrix.
+
+    The seed must lie in [0, 2^64): the random streams read it modulo 2^64,
+    so any other seed would repeat the draws of one inside the range.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed {seed} is outside [0, 2^64)")
     fld, n = A.field, A.dim
     base = A._kernel
     if base is None:
         base = tuple(kernel_basis(build_matrix(A)).maps)
         object.__setattr__(A, "_kernel", base)
-    lifted = [_lift_rows(fld, f.columns)[0] for f in base]
+    sparse = [_nonzero_columns(fld, f) for f in base]
     for t in range(trials):
         g = random_invertible_map(n, fld, rng.split(seed, t))
         moved = A.transport(g)
@@ -112,11 +121,36 @@ def invariance_battery(A: SkewAlgebra, trials: int, seed: int) -> bool:
         if nullity(moved_matrix) != len(base):
             return False
         G, H = _lift_rows(fld, g.columns)[0], _lift_rows(fld, g.inverse().columns)[0]
-        for F in lifted:
-            conjugated = LinearMap(n, fld, _mat_mul(G, _mat_mul(F, H)))
-            if not is_in_kernel(moved, conjugated, matrix=moved_matrix):
+        for F in sparse:
+            GF = [(q, _combination((a, G[p]) for p, a in col)) for q, col in F]
+            conjugated = [_combination((h[q], v) for q, v in GF) for h in H]
+            if not is_in_kernel(moved, LinearMap(n, fld, conjugated), matrix=moved_matrix):
                 return False
     return True
+
+
+def _nonzero_columns(fld: Field, f: LinearMap) -> list:
+    """[(q, [(p, a_pq), ...]), ...]: the nonzero columns of f with their
+    nonzero entries, lifted by one common denominator. A zero entry has
+    denominator 1, so the integers are those `_lift_rows(fld, f.columns)`
+    gives."""
+    entries = [(q, p, x) for q, col in enumerate(f.columns) for p, x in enumerate(col) if x]
+    ints, _ = fld.lift([x for _, _, x in entries])
+    columns: dict = {}
+    for (q, p, _), a in zip(entries, ints):
+        columns.setdefault(q, []).append((p, a))
+    return list(columns.items())
+
+
+def _combination(terms) -> list:
+    """The integer column sum of c·v over the (c, v) pairs of terms (at
+    least one pair): len(v) multiplications per pair."""
+    terms = iter(terms)
+    c, v = next(terms)
+    acc = [c * x for x in v]
+    for c, v in terms:
+        acc = [y + c * x for y, x in zip(acc, v)]
+    return acc
 
 
 @dataclass

@@ -39,9 +39,12 @@ class Stream:
         return w
 
     def below(self, m: int) -> int:
-        """Uniform integer in [0, m), exact via rejection sampling."""
+        """Uniform integer in [0, m), exact via rejection sampling of one
+        64-bit word per try, so m must lie in [1, 2^64]."""
         if m <= 0:
             raise ValueError("bound must be positive")
+        if m > 1 << 64:
+            raise ValueError(f"bound {m} is above 2^64, the range of one word")
         limit = (1 << 64) - ((1 << 64) % m)
         while True:
             w = self.word()
