@@ -1,10 +1,41 @@
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from homlie import LinearMap, build_matrix, random_algebra, random_linear_map
+from homlie import LinearMap, PrimeField, build_matrix, make_algebra, random_algebra, random_linear_map
 from homlie.field import QQ
 from homlie import files
+
+# Q, the smallest primes, a mid-size one and a 61-bit one
+FIELDS = [QQ] + [PrimeField(p) for p in (2, 3, 10007, 2**61 - 1)]
+FIELD_IDS = ["QQ", "F2", "F3", "F10007", "F2^61-1"]
+BIG = 2**130
+
+
+def _scalars(fld):
+    """Residues over F_p; signed fractions with numerators and
+    denominators up to 2^130 over Q."""
+    if fld.p:
+        return st.integers(0, fld.p - 1)
+    return st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG))
+
+
+@st.composite
+def _algebras(draw, fld, min_dim=1):
+    n = draw(st.integers(min_dim, 5))
+    vectors = st.lists(_scalars(fld), min_size=n, max_size=n)
+    products = [(i, j, draw(vectors)) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                if draw(st.booleans())]
+    return make_algebra(n, fld, products)
+
+
+@st.composite
+def _maps(draw, fld):
+    n = draw(st.integers(1, 5))
+    column = st.lists(_scalars(fld), min_size=n, max_size=n)
+    return LinearMap(n, fld, [draw(column) for _ in range(n)])
 
 
 def test_algebra_json_round_trip(named, fp):
@@ -121,3 +152,36 @@ def test_committed_fixtures_parse(fixtures_dir, named):
 
 def test_dumps_canonical_is_stable():
     assert files.dumps_canonical({"b": 1, "a": [1, 2]}) == '{"a":[1,2],"b":1}'
+
+
+# Bit-exact round-trips: the loaded object equals the written one, and
+# writing it again gives the same bytes.
+@pytest.mark.parametrize("fld", FIELDS, ids=FIELD_IDS)
+@settings(max_examples=30)
+@given(data=st.data())
+def test_algebra_json_round_trip_is_bit_exact(fld, data):
+    A = data.draw(_algebras(fld))
+    text = files.dumps_canonical(files.algebra_to_obj(A))
+    B = files.algebra_from_obj(json.loads(text))
+    assert B == A and files.dumps_canonical(files.algebra_to_obj(B)) == text
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=FIELD_IDS)
+@settings(max_examples=30)
+@given(data=st.data())
+def test_map_json_round_trip_is_bit_exact(fld, data):
+    f = data.draw(_maps(fld))
+    text = files.dumps_canonical(files.map_to_obj(f))
+    g = files.map_from_obj(json.loads(text))
+    assert g == f and files.dumps_canonical(files.map_to_obj(g)) == text
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=FIELD_IDS)
+@settings(max_examples=15)
+@given(data=st.data())
+def test_matrix_round_trips_are_bit_exact(fld, data):
+    M = build_matrix(data.draw(_algebras(fld, min_dim=3)))
+    obj = json.loads(files.dumps_canonical(files.matrix_to_obj(M)))
+    assert files.matrix_entries_from_obj(obj, fld) == M.rows
+    assert files.matrix_entries_from_plain(files.matrix_to_plain(M), fld) == M.rows
+    assert files.matrix_entries_from_csv(files.matrix_to_csv(M), fld) == M.rows

@@ -18,6 +18,8 @@ from homlie import (
     random_invertible_map,
     rng,
 )
+from homlie.algebra import _mat_mul
+from homlie.field import QQ, _lift_rows
 from homlie.lab import catalog
 
 
@@ -133,6 +135,66 @@ def test_invariance_battery_tests_each_conjugated_kernel_map(named, fp, monkeypa
         assert all(_is_nonzero_multiple(got, want) for got, want in zip(seen, expected))
 
 
+class _CountedInt(int):
+    """An int that counts the multiplications it takes part in."""
+
+    count = 0
+
+    def __mul__(self, other):
+        _CountedInt.count += 1
+        return int(self) * int(other)
+
+    __rmul__ = __mul__
+
+
+def test_invariance_battery_conjugates_as_the_dense_product(named, monkeypatch):
+    """Each map the battery hands is_in_kernel is the dense G·(F·H), integer
+    for integer, where F lifts a base kernel map by its common denominator.
+    The moved Q algebras have kernel maps whose entries have different
+    denominators. Every conjugation product takes an entry of G or of H,
+    so counting theirs counts them all: at most nnz(F)·n + |cols(F)|·n²,
+    never more than the 2n³ of the dense product."""
+    algebras = [
+        named["cross_product3"].algebra.transport(random_invertible_map(3, QQ, 99)),
+        named["sl2_plus_abelian4"].algebra.transport(random_invertible_map(4, QQ, 5)),
+        named["abelian5"].algebra,
+    ]
+    algebras += [random_algebra(n, PrimeField(p), seed=1) for p, n in ((2, 4), (3, 4), (10007, 3))]
+    trials, seed = 2, 100
+
+    def counted_lift(fld, rows):
+        ints, d = _lift_rows(fld, rows)
+        return [[_CountedInt(x) for x in row] for row in ints], d
+
+    for A in algebras:
+        fld, n = A.field, A.dim
+        seen, counts = [], []
+
+        def spy(B, f, matrix=None):
+            seen.append(f)
+            counts.append(_CountedInt.count)
+            _CountedInt.count = 0
+            return is_in_kernel(B, f, matrix=matrix)
+
+        _CountedInt.count = 0
+        monkeypatch.setattr(homlie.lab, "is_in_kernel", spy)
+        monkeypatch.setattr(homlie.lab, "_lift_rows", counted_lift)
+        assert invariance_battery(A, trials=trials, seed=seed) is True
+        monkeypatch.undo()
+
+        expected, bounds = [], []
+        for t in range(trials):
+            g = random_invertible_map(n, fld, rng.split(seed, t))
+            G, H = _lift_rows(fld, g.columns)[0], _lift_rows(fld, g.inverse().columns)[0]
+            for f in kernel_basis(build_matrix(A)).maps:
+                F = _lift_rows(fld, f.columns)[0]
+                expected.append(LinearMap(n, fld, _mat_mul(G, _mat_mul(F, H))))
+                nnz = sum(1 for col in F for x in col if x)
+                bounds.append(nnz * n + sum(map(any, F)) * n * n)
+        assert expected and seen == expected, A
+        assert all(0 < c <= b <= 2 * n**3 for c, b in zip(counts, bounds)), (A, counts)
+
+
 def test_invariance_battery_keeps_the_base_kernel(monkeypatch):
     # the first battery on an algebra keeps its base kernel maps, those of a
     # fresh kernel_basis; a later call reads no kernel off an RREF (the moved
@@ -163,8 +225,14 @@ def test_invariance_battery_keeps_the_base_kernel(monkeypatch):
 
 
 def test_invariance_battery_validates_trials(named):
+    A = named["abelian3"].algebra
     with pytest.raises(ValueError):
-        invariance_battery(named["abelian3"].algebra, trials=0, seed=0)
+        invariance_battery(A, trials=0, seed=0)
+    # the streams read the seed modulo 2^64, so -1 would alias 2^64 - 1
+    for seed in (-1, 2**64, 2**64 + 5):
+        with pytest.raises(ValueError):
+            invariance_battery(A, trials=1, seed=seed)
+    assert invariance_battery(A, trials=1, seed=2**64 - 1)
 
 
 def test_catalog_returns_fresh_objects():

@@ -1,6 +1,7 @@
 import pytest
 
-from homlie import rng
+from homlie import random_algebra, rng
+from homlie.field import QQ
 
 
 def test_streams_are_deterministic():
@@ -43,3 +44,10 @@ def test_bad_bounds_raise():
         s.below(0)
     with pytest.raises(ValueError):
         s.randint(2, 1)
+    # one 64-bit word per try cannot draw from more than 2^64 values (the
+    # rejection limit would be 0, and the loop would never end)
+    with pytest.raises(ValueError):
+        s.below(2**64 + 1)
+    with pytest.raises(ValueError):
+        random_algebra(3, QQ, 1, bound=2**63)  # randint(-2^63, 2^63): 2^64 + 1 values
+    assert 0 <= s.below(2**64) < 2**64
