@@ -12,7 +12,7 @@ from itertools import combinations
 from operator import mul
 
 from . import linalg, rng
-from .errors import FieldMismatchError, ShapeError
+from .errors import FieldMismatchError, ShapeError, SingularMatrixError
 from .field import Field, Scalar, _lift_rows, _unlift
 
 Vector = tuple
@@ -111,9 +111,14 @@ class SkewAlgebra:
 
 
 class LinearMap:
-    """An endomorphism stored by columns: column q holds f(e_q)."""
+    """An endomorphism stored by columns: column q holds f(e_q).
 
-    __slots__ = ("dim", "field", "columns")
+    `_inverse` is None, except on a map drawn by `random_invertible_map`,
+    which keeps the inverse its draw computed so that `inverse` returns
+    it without another elimination. Equality ignores it.
+    """
+
+    __slots__ = ("dim", "field", "columns", "_inverse")
 
     def __init__(self, dim: int, field: Field, columns):
         if not _is_index(dim):
@@ -125,6 +130,7 @@ class LinearMap:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "columns", tuple(map(field.vector, columns)))
+        object.__setattr__(self, "_inverse", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LinearMap is immutable")
@@ -195,7 +201,11 @@ class LinearMap:
 
     def inverse(self) -> "LinearMap":
         """The inverse map. Its columns are the rows of the inverse of the
-        matrix whose rows are self's columns, since (g^T)^-1 = (g^-1)^T."""
+        matrix whose rows are self's columns, since (g^T)^-1 = (g^-1)^T.
+        A drawn map returns the inverse its draw kept; any other map
+        computes a fresh one each call and keeps nothing."""
+        if self._inverse is not None:
+            return self._inverse
         return LinearMap(self.dim, self.field, linalg.inverse(self.field, self.columns))
 
     def is_zero(self) -> bool:
@@ -308,10 +318,20 @@ def random_linear_map(dim: int, field: Field, seed: int, bound: int = DEFAULT_BO
 
 
 def random_invertible_map(dim: int, field: Field, seed: int, bound: int = DEFAULT_BOUND) -> LinearMap:
-    """Rejection-sample an invertible endomorphism from one (seed) stream."""
+    """Rejection-sample an invertible endomorphism from one (seed) stream.
+
+    Each candidate is tested by inverting it: `linalg.inverse` raises
+    SingularMatrixError exactly when its rank is below dim, and then the
+    next candidate is drawn. The accepted map keeps the inverse (see
+    `LinearMap`), so its `inverse` calls eliminate nothing.
+    """
     draw = _scalar_draw(field, bound)
     s = rng.stream(seed, 0)
     while True:
         g = LinearMap(dim, field, [[draw(s) for _ in range(dim)] for _ in range(dim)])
-        if linalg.rank(field, g.columns) == dim:
-            return g
+        try:
+            inv = linalg.inverse(field, g.columns)
+        except SingularMatrixError:
+            continue
+        object.__setattr__(g, "_inverse", LinearMap(dim, field, inv))
+        return g

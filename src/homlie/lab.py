@@ -71,7 +71,13 @@ def genericity_experiment(dim: int, trials: int, field: Field, seed: int) -> Sam
 
 def generic_reduced_rank(count: int, fld: Field, seed: int) -> dict:
     """Rank histogram of the bidiagonal restricted system on random
-    4-dimensional algebras; deterministic per seed."""
+    4-dimensional algebras; deterministic per seed.
+
+    The seed must lie in [0, 2^64): the random streams read it modulo 2^64,
+    so any other seed would repeat the draws of one inside the range.
+    """
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed {seed} is outside [0, 2^64)")
     support = bidiagonal_support(4)
     hist: dict[int, int] = {}
     for t in range(count):
@@ -86,7 +92,9 @@ def invariance_battery(A: SkewAlgebra, trials: int, seed: int) -> bool:
 
     Draws `trials` random invertible maps g; for each, the transported
     algebra must have the same nullity, and g o f o g^-1 must stay in the
-    transported kernel for every canonical kernel basis map f. The map
+    transported kernel for every canonical kernel basis map f. Each g is
+    inverted once, by its draw's invertibility test; `transport` and the
+    lift of g^-1 below both read the inverse g keeps. The map
     tested is the integer product G·F·H of the lifts of g, f and g^-1
     (each lifted once): a nonzero integer multiple of g o f o g^-1, which
     is in the kernel exactly when g o f o g^-1 is. It is formed from F's
