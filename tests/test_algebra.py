@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+import homlie.linalg
 from homlie import (
     FieldMismatchError,
     LinearMap,
+    PrimeField,
     ShapeError,
     SingularMatrixError,
     make_algebra,
@@ -13,6 +15,7 @@ from homlie import (
     random_linear_map,
     rng,
 )
+from homlie.algebra import DEFAULT_BOUND, _scalar_draw
 from homlie.field import QQ
 
 
@@ -204,6 +207,70 @@ def test_rational_draws_reject_empty_bound(qq, fp):
         with pytest.raises(ValueError):
             draw(3, qq, 1, bound=0)
     assert random_invertible_map(3, fp, 1, bound=0).dim == 3
+
+
+def _rank_tested_draw(dim, fld, seed, bound=DEFAULT_BOUND):
+    """(g, candidates): the rank-tested rejection loop that the inversion
+    test replaced. Draw a candidate from the (seed, 0) stream, accept it
+    when its rank is dim."""
+    draw = _scalar_draw(fld, bound)
+    s = rng.stream(seed, 0)
+    candidates = 0
+    while True:
+        candidates += 1
+        g = LinearMap(dim, fld, [[draw(s) for _ in range(dim)] for _ in range(dim)])
+        if homlie.linalg.rank(fld, g.columns) == dim:
+            return g, candidates
+
+
+def test_invertible_draw_matches_the_rank_tested_loop(monkeypatch):
+    """random_invertible_map draws the same map as the rank-tested loop,
+    inverts each candidate once and ranks none, and its map returns the
+    inverse of its columns with no further elimination. F_2 and F_3
+    reject often, so the singular path runs too."""
+    original_inverse, original_rank = homlie.linalg.inverse, homlie.linalg.rank
+    calls = []
+
+    def counted_inverse(fld, mat):
+        calls.append("inverse")
+        return original_inverse(fld, mat)
+
+    def counted_rank(fld, mat):
+        calls.append("rank")
+        return original_rank(fld, mat)
+
+    rejected = 0
+    for fld in (QQ, PrimeField(2), PrimeField(3), PrimeField(10007)):
+        identity = {n: LinearMap.identity(n, fld) for n in range(6)}
+        for n in range(6):
+            for seed in range(40):
+                want, candidates = _rank_tested_draw(n, fld, seed)
+                rejected += candidates - 1
+                monkeypatch.setattr(homlie.linalg, "inverse", counted_inverse)
+                monkeypatch.setattr(homlie.linalg, "rank", counted_rank)
+                calls.clear()
+                g = random_invertible_map(n, fld, seed)
+                assert calls == ["inverse"] * candidates, (fld, n, seed)
+                calls.clear()
+                inv = g.inverse()
+                assert g.inverse() is inv and calls == [], (fld, n, seed)
+                monkeypatch.undo()
+                assert g == want and g.columns == want.columns, (fld, n, seed)
+                assert inv == LinearMap(n, fld, original_inverse(fld, g.columns))
+                assert g.compose(inv) == inv.compose(g) == identity[n]
+    assert rejected > 100
+
+
+def test_built_maps_keep_no_inverse(qq, f7):
+    # a map built by a caller computes a fresh inverse on each call and
+    # keeps nothing; equality ignores a drawn map's kept inverse
+    f = LinearMap(2, qq, [[2, 1], [1, 1]])
+    assert f.inverse() == f.inverse() and f.inverse() is not f.inverse()
+    assert f._inverse is None
+    g = random_invertible_map(3, f7, seed=7)
+    assert g == LinearMap(3, f7, g.columns) and g._inverse is not None
+    with pytest.raises(AttributeError):
+        g._inverse = None
 
 
 def test_random_algebra_fills_prime_residues(fp):

@@ -3,11 +3,13 @@ from fractions import Fraction
 import pytest
 
 import homlie.lab
+import homlie.linalg
 from homlie import (
     LinearMap,
     PrimeField,
     SkewAlgebra,
     build_matrix,
+    generic_reduced_rank,
     genericity_experiment,
     invariance_battery,
     is_hom_lie,
@@ -79,6 +81,11 @@ def test_experiment_input_validation(fp, qq):
         genericity_experiment(3, 0, fp, seed=0)
     with pytest.raises(ValueError):
         genericity_experiment(3, 10, qq, seed=0)
+    # the streams read the seed modulo 2^64, so -1 would alias 2^64 - 1
+    for seed in (-1, 2**64, 2**64 + 5):
+        with pytest.raises(ValueError):
+            generic_reduced_rank(5, fp, seed)
+    assert sum(generic_reduced_rank(5, fp, 2**64 - 1).values()) == 5
 
 
 def test_invariance_battery_on_catalog(named):
@@ -106,13 +113,17 @@ def _is_nonzero_multiple(got: LinearMap, want: LinearMap) -> bool:
 
 def test_invariance_battery_tests_each_conjugated_kernel_map(named, fp, monkeypatch):
     """The battery hands is_in_kernel one multiple of g o f o g^-1 per kernel
-    map f and trial, and inverts each g twice (once inside transport)."""
+    map f and trial. It asks each g for its inverse twice (once inside
+    transport), but eliminates g once: `linalg.inverse` runs once per drawn
+    candidate, in the draw, and `linalg.rank` never. No candidate of these
+    seeds is singular, so that is once per trial."""
     algebras = [entry.algebra for entry in named.values()]
     algebras += [random_algebra(n, fp, seed=90 + n) for n in (3, 4, 5)]
     trials = 2
     original_inverse = LinearMap.inverse
+    original_linalg_inverse, original_rank = homlie.linalg.inverse, homlie.linalg.rank
     for A in algebras:
-        seen, inverted = [], []
+        seen, inverted, eliminated = [], [], []
 
         def spy(B, f, matrix=None):
             seen.append(f)
@@ -122,13 +133,24 @@ def test_invariance_battery_tests_each_conjugated_kernel_map(named, fp, monkeypa
             inverted.append(g)
             return original_inverse(g)
 
+        def counted_linalg_inverse(fld, mat):
+            eliminated.append("inverse")
+            return original_linalg_inverse(fld, mat)
+
+        def counted_rank(fld, mat):
+            eliminated.append("rank")
+            return original_rank(fld, mat)
+
         monkeypatch.setattr(homlie.lab, "is_in_kernel", spy)
         monkeypatch.setattr(LinearMap, "inverse", counted_inverse)
+        monkeypatch.setattr(homlie.linalg, "inverse", counted_linalg_inverse)
+        monkeypatch.setattr(homlie.linalg, "rank", counted_rank)
         assert invariance_battery(A, trials=trials, seed=95) is True
         monkeypatch.undo()
 
         gs = [random_invertible_map(A.dim, A.field, rng.split(95, t)) for t in range(trials)]
         assert inverted == [g for g in gs for _ in range(2)]
+        assert eliminated == ["inverse"] * trials
         base = kernel_basis(build_matrix(A)).maps
         expected = [g.compose(f).compose(g.inverse()) for g in gs for f in base]
         assert len(seen) == len(expected) == len(base) * trials
