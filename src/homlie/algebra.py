@@ -8,7 +8,8 @@ throughout, matching the file formats.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
+from math import gcd
 from operator import mul
 
 from . import linalg, rng
@@ -91,14 +92,14 @@ class SkewAlgebra:
 
         g is the isomorphism from this algebra to the result, so transport
         is a left group action. Raises SingularMatrixError for singular g.
-        It runs on integer lifts of the constants, g and g^-1, and divides
-        each coordinate once.
+        It runs on the integer lifts of the constants, and on those g and
+        g^-1 hold (`LinearMap.lift`), and divides each coordinate once.
         """
         _check_same_space(self, g)
         f, n = self.field, self.dim
         C, d = _lift_constants(self)
-        inv_cols, e = _lift_rows(f, g.inverse().columns)
-        img_cols, h = _lift_rows(f, g.columns)
+        inv_cols, e = g.inverse().lift()
+        img_cols, h = g.lift()
         den = h * d * e * e
         pairs = list(combinations(range(1, n + 1), 2))
         mids = [_product(C, inv_cols[i - 1], inv_cols[j - 1], [0] * n) for i, j in pairs]
@@ -113,24 +114,53 @@ class SkewAlgebra:
 class LinearMap:
     """An endomorphism stored by columns: column q holds f(e_q).
 
+    Over F_p the entries are residues, which are their own integer lift.
+    Over Q a map holds either its values, when built by the constructor
+    from field values, or its lift (ints, d), when built by `_from_ints`
+    from integers: the one `field._lift_rows` gives for its values, with
+    d the lcm of the entries' reduced denominators. `lift` returns the
+    kept lift or computes one from the values each call, keeping nothing;
+    `columns` is the values, made from the lift on first read and then
+    kept. Equality compares lifts, which are canonical.
+
     `_inverse` is None, except on a map drawn by `random_invertible_map`,
     which keeps the inverse its draw computed so that `inverse` returns
     it without another elimination. Equality ignores it.
     """
 
-    __slots__ = ("dim", "field", "columns", "_inverse")
+    # dim is read off the columns, so a held map takes four slots
+    __slots__ = ("field", "_columns", "_lift", "_inverse")
 
     def __init__(self, dim: int, field: Field, columns):
-        if not _is_index(dim):
-            raise ShapeError(f"dimension must be an integer, got {dim!r}")
+        if not _is_index(dim) or dim < 0:
+            raise ShapeError(f"dimension must be a non-negative integer, got {dim!r}")
         columns = tuple(tuple(col) for col in columns)
         if len(columns) != dim or any(len(col) != dim for col in columns):
             raise ShapeError(f"need {dim} columns of length {dim}")
         field.check(columns)
-        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "columns", tuple(map(field.vector, columns)))
+        object.__setattr__(self, "_columns", tuple(map(field.vector, columns)))
+        object.__setattr__(self, "_lift", None)
         object.__setattr__(self, "_inverse", None)
+
+    @classmethod
+    def _from_ints(cls, field: Field, ints, d: int = 1) -> "LinearMap":
+        """The map whose columns are ints / d, for n integer columns of
+        length n and a positive d (1 over F_p), unchecked: over F_p the
+        residues of ints, over Q the lift reduced by its common factor, so
+        canonical."""
+        p = field.p
+        if p:
+            columns, lift = tuple(tuple(x % p for x in col) for col in ints), None
+        else:
+            g = gcd(d, *chain.from_iterable(ints)) if d != 1 else 1
+            if g != 1:
+                ints, d = [[x // g for x in col] for col in ints], d // g
+            columns, lift = None, (tuple(map(tuple, ints)), d)
+        self = object.__new__(cls)
+        for name, value in zip(cls.__slots__, (field, columns, lift, None)):
+            object.__setattr__(self, name, value)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("LinearMap is immutable")
@@ -138,13 +168,37 @@ class LinearMap:
     def __eq__(self, other):
         return (
             isinstance(other, LinearMap)
-            and self.dim == other.dim
             and self.field == other.field
-            and self.columns == other.columns
+            and self.lift() == other.lift()
         )
 
     def __repr__(self):
         return f"LinearMap(dim={self.dim}, field={self.field!r})"
+
+    @property
+    def dim(self) -> int:
+        return len(self._lift[0] if self._columns is None else self._columns)
+
+    @property
+    def columns(self) -> tuple:
+        """The columns as field values; over Q `Fraction`s sharing one
+        zero when made from the lift."""
+        cols = self._columns
+        if cols is None:
+            ints, d = self._lift
+            cols = tuple(tuple(_unlift(self.field, col, d)) for col in ints)
+            object.__setattr__(self, "_columns", cols)
+        return cols
+
+    def lift(self) -> tuple[tuple, int]:
+        """(ints, d): the columns as integer tuples over one denominator,
+        as `field._lift_rows` gives them (see `LinearMap`)."""
+        if self._lift is not None:
+            return self._lift
+        if self.field.p:
+            return self._columns, 1
+        rows, d = _lift_rows(self.field, self._columns)
+        return tuple(map(tuple, rows)), d
 
     @classmethod
     def identity(cls, dim: int, field: Field) -> "LinearMap":
@@ -192,21 +246,22 @@ class LinearMap:
         return f.vector(out)
 
     def compose(self, other: "LinearMap") -> "LinearMap":
-        """self after other, multiplied on integer lifts of both."""
+        """self after other, multiplied on the lifts of both and built from
+        the integer product."""
         _check_same_space(self, other)
-        f = self.field
-        a, da = _lift_rows(f, self.columns)
-        b, db = _lift_rows(f, other.columns)
-        return LinearMap(self.dim, f, [_unlift(f, col, da * db) for col in _mat_mul(a, b)])
+        a, da = self.lift()
+        b, db = other.lift()
+        return LinearMap._from_ints(self.field, _mat_mul(a, b), da * db)
 
     def inverse(self) -> "LinearMap":
-        """The inverse map. Its columns are the rows of the inverse of the
-        matrix whose rows are self's columns, since (g^T)^-1 = (g^-1)^T.
-        A drawn map returns the inverse its draw kept; any other map
-        computes a fresh one each call and keeps nothing."""
+        """The inverse map, built from the lifted inverse `linalg._inverse`
+        computes. Its columns are the rows of the inverse of the matrix
+        whose rows are self's columns, since (g^T)^-1 = (g^-1)^T. A drawn
+        map returns the inverse its draw kept; any other map computes a
+        fresh one each call and keeps nothing."""
         if self._inverse is not None:
             return self._inverse
-        return LinearMap(self.dim, self.field, linalg.inverse(self.field, self.columns))
+        return LinearMap._from_ints(self.field, *linalg._inverse(*self.lift(), self.field.p))
 
     def is_zero(self) -> bool:
         zero = self.field.zero
@@ -286,13 +341,13 @@ def make_algebra(dim: int, field: Field, products) -> SkewAlgebra:
 
 
 def _scalar_draw(field: Field, bound: int):
-    """draw(stream) -> one random scalar: a uniform residue over a prime
-    field, a uniform integer in [-bound, bound] over the rationals."""
+    """draw(stream) -> one random plain value: a uniform residue over a
+    prime field, a uniform integer in [-bound, bound] over the rationals."""
     if field.p:
         return lambda s: s.below(field.p)
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    return lambda s: field.element(s.randint(-bound, bound))
+    return lambda s: s.randint(-bound, bound)
 
 
 def random_algebra(dim: int, field: Field, seed: int, bound: int = DEFAULT_BOUND) -> SkewAlgebra:
@@ -314,24 +369,26 @@ def random_linear_map(dim: int, field: Field, seed: int, bound: int = DEFAULT_BO
     """Seeded random endomorphism, same slot discipline as random_algebra."""
     draw = _scalar_draw(field, bound)
     cols = [[draw(rng.stream(seed, q * dim + p)) for p in range(dim)] for q in range(dim)]
-    return LinearMap(dim, field, cols)
+    return LinearMap._from_ints(field, cols)
 
 
 def random_invertible_map(dim: int, field: Field, seed: int, bound: int = DEFAULT_BOUND) -> LinearMap:
     """Rejection-sample an invertible endomorphism from one (seed) stream.
 
-    Each candidate is tested by inverting it: `linalg.inverse` raises
-    SingularMatrixError exactly when its rank is below dim, and then the
-    next candidate is drawn. The accepted map keeps the inverse (see
-    `LinearMap`), so its `inverse` calls eliminate nothing.
+    Each candidate, drawn as plain integers, is tested by inverting it:
+    `linalg._inverse` raises SingularMatrixError exactly when its rank is
+    below dim, and then the next candidate is drawn. The accepted map and
+    the inverse it keeps (see `LinearMap`) are built from their integer
+    lifts, so its `inverse` calls eliminate nothing.
     """
     draw = _scalar_draw(field, bound)
     s = rng.stream(seed, 0)
     while True:
-        g = LinearMap(dim, field, [[draw(s) for _ in range(dim)] for _ in range(dim)])
+        cols = [[draw(s) for _ in range(dim)] for _ in range(dim)]
         try:
-            inv = linalg.inverse(field, g.columns)
+            inv = linalg._inverse(cols, 1, field.p)
         except SingularMatrixError:
             continue
-        object.__setattr__(g, "_inverse", LinearMap(dim, field, inv))
+        g = LinearMap._from_ints(field, cols)
+        object.__setattr__(g, "_inverse", LinearMap._from_ints(field, *inv))
         return g

@@ -10,7 +10,10 @@ on plain values and reduce each result vector once (`vector`).
 Over Q the computing values are integers: `lift` scales a vector by the
 common denominator of its entries, callers compute on the `int`s and
 `_unlift` turns a result back into `Fraction`s once, at the output. Over
-F_p `lift` is the identity with denominator 1.
+F_p `lift` is the identity with denominator 1. `_lift_rows` lifts a whole
+matrix by one denominator, the lcm of its entries' reduced denominators;
+a `LinearMap` built from integers holds exactly that lift of its columns
+(see `algebra.LinearMap`), so its consumers read it instead of lifting.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 
 from . import rng
 from .algebra import LinearMap, SkewAlgebra, make_algebra, random_algebra, random_invertible_map
-from .field import QQ, Field, PrimeField, _lift_rows
+from .field import QQ, Field, PrimeField
 from .system import (bidiagonal_support, build_matrix, check_size, is_in_kernel, kernel_basis,
                      nullity, rank as matrix_rank, restrict_columns)
 
@@ -93,21 +93,22 @@ def invariance_battery(A: SkewAlgebra, trials: int, seed: int) -> bool:
     Draws `trials` random invertible maps g; for each, the transported
     algebra must have the same nullity, and g o f o g^-1 must stay in the
     transported kernel for every canonical kernel basis map f. Each g is
-    inverted once, by its draw's invertibility test; `transport` and the
-    lift of g^-1 below both read the inverse g keeps. The map
-    tested is the integer product G·F·H of the lifts of g, f and g^-1
-    (each lifted once): a nonzero integer multiple of g o f o g^-1, which
-    is in the kernel exactly when g o f o g^-1 is. It is formed from F's
-    nonzero entries a_pq: column q of G·F is the sum of a_pq·G[:, p], and
-    column r of G·F·H the sum of H[q, r]·(G·F)[:, q] over F's nonzero
-    columns q. That is nnz(F)·n + |cols(F)|·n² integer multiplications,
-    never more than the 2n³ of two dense products (n + n² for a map with
-    one nonzero entry), and the same integers as G·(F·H). The nullity of
-    the transported matrix keeps its echelon basis, and each membership
-    test reads that basis, not the transported matrix's rows (see
-    `system.is_in_kernel`). A keeps its base kernel maps (and nothing else
-    of its system) from the first call, so only that call eliminates A's
-    own matrix.
+    inverted once, by its draw's invertibility test, and is built with its
+    inverse from their integer lifts (see `LinearMap`); `transport` and
+    the conjugation below read those lifts. The map tested is the integer
+    product G·F·H of the lifts of g, f and g^-1: a nonzero integer
+    multiple of g o f o g^-1, which is in the kernel exactly when
+    g o f o g^-1 is, built from those integers (residues mod p over F_p)
+    with no check. It is formed from F's nonzero entries a_pq: column q of
+    G·F is the sum of a_pq·G[:, p], and column r of G·F·H the sum of
+    H[q, r]·(G·F)[:, q] over F's nonzero columns q. That is
+    nnz(F)·n + |cols(F)|·n² integer multiplications, never more than the
+    2n³ of two dense products (n + n² for a map with one nonzero entry),
+    and the same integers as G·(F·H). The nullity of the transported
+    matrix keeps its echelon basis, and each membership test reads that
+    basis, not the transported matrix's rows (see `system.is_in_kernel`).
+    A keeps its base kernel maps (and nothing else of its system) from
+    the first call, so only that call eliminates A's own matrix.
 
     The seed must lie in [0, 2^64): the random streams read it modulo 2^64,
     so any other seed would repeat the draws of one inside the range.
@@ -121,33 +122,27 @@ def invariance_battery(A: SkewAlgebra, trials: int, seed: int) -> bool:
     if base is None:
         base = tuple(kernel_basis(build_matrix(A)).maps)
         object.__setattr__(A, "_kernel", base)
-    sparse = [_nonzero_columns(fld, f) for f in base]
+    sparse = [_nonzero_columns(f) for f in base]
     for t in range(trials):
         g = random_invertible_map(n, fld, rng.split(seed, t))
         moved = A.transport(g)
         moved_matrix = build_matrix(moved)
         if nullity(moved_matrix) != len(base):
             return False
-        G, H = _lift_rows(fld, g.columns)[0], _lift_rows(fld, g.inverse().columns)[0]
+        G, H = g.lift()[0], g.inverse().lift()[0]
         for F in sparse:
             GF = [(q, _combination((a, G[p]) for p, a in col)) for q, col in F]
             conjugated = [_combination((h[q], v) for q, v in GF) for h in H]
-            if not is_in_kernel(moved, LinearMap(n, fld, conjugated), matrix=moved_matrix):
+            if not is_in_kernel(moved, LinearMap._from_ints(fld, conjugated), matrix=moved_matrix):
                 return False
     return True
 
 
-def _nonzero_columns(fld: Field, f: LinearMap) -> list:
-    """[(q, [(p, a_pq), ...]), ...]: the nonzero columns of f with their
-    nonzero entries, lifted by one common denominator. A zero entry has
-    denominator 1, so the integers are those `_lift_rows(fld, f.columns)`
-    gives."""
-    entries = [(q, p, x) for q, col in enumerate(f.columns) for p, x in enumerate(col) if x]
-    ints, _ = fld.lift([x for _, _, x in entries])
-    columns: dict = {}
-    for (q, p, _), a in zip(entries, ints):
-        columns.setdefault(q, []).append((p, a))
-    return list(columns.items())
+def _nonzero_columns(f: LinearMap) -> list:
+    """[(q, [(p, a_pq), ...]), ...]: the nonzero columns of f's integer
+    lift (`LinearMap.lift`) with their nonzero entries."""
+    return [(q, [(p, a) for p, a in enumerate(col) if a])
+            for q, col in enumerate(f.lift()[0]) if any(col)]
 
 
 def _combination(terms) -> list:

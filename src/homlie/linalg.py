@@ -9,7 +9,9 @@ and RREF, and elimination runs on Python `int`s; `rref` and `det` make
 pass, `_eliminate`, which reads rows until it has a pivot in every
 column: rank and a trivial kernel take no more and never back-substitute,
 and `rref` back-substitutes its at most ncols pivot rows afterwards (the
-RREF depends only on the row space). Every determinant is the Bareiss
+RREF depends only on the row space). The inverse core `_inverse` works on
+integer rows and returns the inverse lifted, for callers that hold
+integers; `inverse` is its field values. Every determinant is the Bareiss
 determinant of the integer lift, `det_bareiss_int`: it is exact over Z,
 so over F_p the integer determinant of the residues, reduced mod p, is
 the determinant.
@@ -17,7 +19,7 @@ the determinant.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 
 from .errors import ShapeError, SingularMatrixError
 from .field import Field, Scalar, _lift_rows, _unlift
@@ -77,14 +79,22 @@ def _eliminate(rows, ncols: int, p: int) -> tuple[list, list[int]]:
     return basis, pivots
 
 
+def _back(basis: list, pivots: list[int], p: int) -> tuple[list, list[int]]:
+    """(rows, pivots), ascending pivots: the RREF of an echelon basis from
+    `_eliminate`, each row a multiple of its RREF row by its pivot (1 over
+    F_p). The same pass over the basis from the last pivot to the first
+    clears each pivot column above."""
+    order = sorted(range(len(pivots)), key=pivots.__getitem__, reverse=True)
+    red, pivots = _eliminate([basis[k] for k in order], len(basis[0]) if basis else 0, p)
+    return red[::-1], pivots[::-1]
+
+
 def _reduced(field: Field, basis: list, pivots: list[int]) -> tuple[list, list[int]]:
     """RREF rows (field values, ascending pivots) and pivots of an echelon
-    basis from `_eliminate`: the same pass over it from the last pivot to
-    the first clears each pivot column above; over Q each row is then
-    divided by its pivot."""
-    order = sorted(range(len(pivots)), key=pivots.__getitem__, reverse=True)
-    red, pivots = _eliminate([basis[k] for k in order], len(basis[0]) if basis else 0, field.p)
-    return [_unlift(field, row, row[c]) for row, c in zip(red[::-1], pivots[::-1])], pivots[::-1]
+    basis from `_eliminate` (see `_back`); over Q each row is divided by
+    its pivot."""
+    red, pivots = _back(basis, pivots, field.p)
+    return [_unlift(field, row, row[c]) for row, c in zip(red, pivots)], pivots
 
 
 def _kernel(field: Field, basis: list, pivots: list[int], ncols: int) -> list[list]:
@@ -143,16 +153,41 @@ def mat_vec(field: Field, mat: list, v: list) -> list:
     return out
 
 
+def _inverse(rows: list, d: int, p: int) -> tuple[list, int]:
+    """(ints, e): the inverse of the square matrix rows / d, lifted. rows
+    are integer rows and d a positive integer (any integers and d = 1 over
+    F_p). Over Q the inverse is ints / e with e the lcm of its entries'
+    reduced denominators, the lift `field._lift_rows` gives; over F_p ints
+    are residues and e is 1. One Gauss-Jordan pass: `_eliminate` and
+    `_back` on [rows | d·I], whose RREF is [I | (rows / d)^-1]. Raises
+    SingularMatrixError when a pivot falls in the right-hand block, which
+    happens exactly when the rank of rows is below n."""
+    n = len(rows)
+    if p:
+        rows = [[x % p for x in row] for row in rows]
+    aug = [[*row, *[0] * k, d, *[0] * (n - 1 - k)] for k, row in enumerate(rows)]
+    basis, pivots = _eliminate(aug, 2 * n, p)
+    if any(c >= n for c in pivots):
+        raise SingularMatrixError("matrix is singular")
+    red, _ = _back(basis, pivots, p)
+    if p:
+        return [row[n:] for row in red], 1
+    # row k is piv·(e_k, x): the entries x / piv have denominators dividing
+    # piv / gcd(row), and e is the lcm of those
+    e = lcm(*(row[k] // gcd(*row) for k, row in enumerate(red)))
+    return [[x * e // row[k] for x in row[n:]] for k, row in enumerate(red)], e
+
+
 def inverse(field: Field, mat: list) -> list:
-    """Inverse via Gauss-Jordan on the augmented matrix."""
+    """Inverse via Gauss-Jordan: the field values of `_inverse` on mat's
+    integer lift."""
     n = len(mat)
     if any(len(r) != n for r in mat):
         raise ShapeError("inverse needs a square matrix")
-    aug = [list(row) + e for row, e in zip(mat, identity(field, n))]
-    red, pivots = rref(field, aug)
-    if pivots != list(range(n)):
-        raise SingularMatrixError("matrix is singular")
-    return [row[n:] for row in red]
+    field.check(mat)
+    rows, d = _lift_rows(field, mat)
+    ints, e = _inverse(rows, d, field.p)
+    return [_unlift(field, row, e) for row in ints]
 
 
 def det_bareiss_int(mat: list) -> int:

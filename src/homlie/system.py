@@ -263,7 +263,7 @@ def hom_jacobi_defect(A: SkewAlgebra, f: LinearMap) -> list:
 def is_in_kernel(A: SkewAlgebra, f: LinearMap, matrix: HomJacobiMatrix | None = None) -> bool:
     """True iff the flattened map is annihilated by the Hom-Jacobi matrix.
 
-    The map's lifted flattening (checked when the map was made) is tested
+    The flattening of the map's integer lift (`LinearMap.lift`) is tested
     against M's echelon basis (see `_echelon`), kept from an earlier rank
     or kernel or computed now: at full column rank the kernel is {0}, and
     otherwise the pivot rows span the row space (the pass read every row),
@@ -272,7 +272,7 @@ def is_in_kernel(A: SkewAlgebra, f: LinearMap, matrix: HomJacobiMatrix | None = 
     M = matrix if matrix is not None else build_matrix(A)
     if M.ncols != f.dim ** 2:
         raise ShapeError(f"vector must have length {M.ncols}")
-    v, _ = A.field.lift(f.flatten())
+    v = list(chain.from_iterable(f.lift()[0]))
     p = A.field.p
     basis, pivots = _echelon(M)
     if len(pivots) == M.ncols:

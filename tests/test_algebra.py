@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import homlie.linalg
 from homlie import (
@@ -16,7 +17,8 @@ from homlie import (
     rng,
 )
 from homlie.algebra import DEFAULT_BOUND, _scalar_draw
-from homlie.field import QQ
+from homlie.field import QQ, _lift_rows, _unlift
+from oracles import mat_vec as oracle_mat_vec, rank_det_modp, rank_fraction
 
 
 def test_make_algebra_example_products(named):
@@ -225,15 +227,17 @@ def _rank_tested_draw(dim, fld, seed, bound=DEFAULT_BOUND):
 
 def test_invertible_draw_matches_the_rank_tested_loop(monkeypatch):
     """random_invertible_map draws the same map as the rank-tested loop,
-    inverts each candidate once and ranks none, and its map returns the
-    inverse of its columns with no further elimination. F_2 and F_3
-    reject often, so the singular path runs too."""
+    inverts each candidate once, by the lifted core `linalg._inverse`, and
+    ranks none, and its map returns the inverse of its columns with no
+    further elimination. F_2 and F_3 reject often, so the singular path
+    runs too."""
     original_inverse, original_rank = homlie.linalg.inverse, homlie.linalg.rank
+    original_core = homlie.linalg._inverse
     calls = []
 
-    def counted_inverse(fld, mat):
+    def counted_core(rows, d, p):
         calls.append("inverse")
-        return original_inverse(fld, mat)
+        return original_core(rows, d, p)
 
     def counted_rank(fld, mat):
         calls.append("rank")
@@ -246,7 +250,7 @@ def test_invertible_draw_matches_the_rank_tested_loop(monkeypatch):
             for seed in range(40):
                 want, candidates = _rank_tested_draw(n, fld, seed)
                 rejected += candidates - 1
-                monkeypatch.setattr(homlie.linalg, "inverse", counted_inverse)
+                monkeypatch.setattr(homlie.linalg, "_inverse", counted_core)
                 monkeypatch.setattr(homlie.linalg, "rank", counted_rank)
                 calls.clear()
                 g = random_invertible_map(n, fld, seed)
@@ -262,15 +266,87 @@ def test_invertible_draw_matches_the_rank_tested_loop(monkeypatch):
 
 
 def test_built_maps_keep_no_inverse(qq, f7):
-    # a map built by a caller computes a fresh inverse on each call and
-    # keeps nothing; equality ignores a drawn map's kept inverse
-    f = LinearMap(2, qq, [[2, 1], [1, 1]])
+    # a map built by a caller computes a fresh inverse and lift on each
+    # call and keeps neither; equality ignores a drawn map's kept inverse
+    f = LinearMap(2, qq, [[Fraction(1, 2), 1], [1, 1]])
     assert f.inverse() == f.inverse() and f.inverse() is not f.inverse()
-    assert f._inverse is None
+    assert f.lift() == f.lift() == (((1, 2), (2, 2)), 2) and f.lift() is not f.lift()
+    assert f._inverse is None and f._lift is None
     g = random_invertible_map(3, f7, seed=7)
     assert g == LinearMap(3, f7, g.columns) and g._inverse is not None
     with pytest.raises(AttributeError):
         g._inverse = None
+
+
+# Q with signed fractions up to 2^130, the smallest primes, a mid-size one
+# and a 61-bit one
+LIFT_FIELDS = [QQ] + [PrimeField(p) for p in (2, 3, 10007, 2**61 - 1)]
+LIFT_FIELD_IDS = ["QQ", "F2", "F3", "F10007", "F2^61-1"]
+BIG = 2**130
+
+
+@st.composite
+def _lifted_matrices(draw, fld):
+    """(n, ints, d, values): n <= 5 integer columns, signed and unreduced
+    over F_p, a denominator d (1 over F_p) sharing a random factor with
+    them, and the field values ints / d. Small entries make singular
+    matrices likely."""
+    n = draw(st.integers(0, 5))
+    entry = st.integers(-BIG, BIG) | st.integers(-2, 2)
+    ints = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    d = 1
+    if not fld.p:
+        k = draw(st.integers(1, 2**20))
+        ints, d = [[k * x for x in col] for col in ints], k * draw(st.integers(1, BIG))
+    values = [[Fraction(x, d) for x in col] for col in ints] if not fld.p else ints
+    return n, ints, d, values
+
+
+@pytest.mark.parametrize("fld", LIFT_FIELDS, ids=LIFT_FIELD_IDS)
+@settings(max_examples=40)
+@given(data=st.data())
+def test_maps_from_integers_equal_maps_from_values(fld, data):
+    """A map built from integers equals the map built from its values,
+    with the same columns and flattening, and its lift is the canonical
+    one `_lift_rows` gives for those values; the map built from a
+    value-built map's lift equals it too."""
+    n, ints, d, values = data.draw(_lifted_matrices(fld))
+    m, v = LinearMap._from_ints(fld, ints, d), LinearMap(n, fld, values)
+    assert m == v and v == m and m.dim == v.dim == n
+    assert m.columns == v.columns and m.flatten() == v.flatten()
+    rows, e = _lift_rows(fld, v.columns)
+    assert m.lift() == v.lift() == (tuple(map(tuple, rows)), e)
+    back = LinearMap._from_ints(fld, *v.lift())
+    assert back == v and v == back and back.columns == v.columns
+
+
+@pytest.mark.parametrize("fld", LIFT_FIELDS, ids=LIFT_FIELD_IDS)
+@settings(max_examples=40)
+@given(data=st.data(), singular=st.booleans(), c=st.integers(-2, 2))
+def test_lifted_inverse_is_the_canonical_lift_of_the_inverse(fld, data, singular, c):
+    """linalg._inverse returns the canonical lift of the values
+    linalg.inverse returns, and those invert the matrix; a singular
+    matrix, decided by an oracle rank, raises SingularMatrixError on both
+    paths and in LinearMap.inverse. A singular draw makes the last row c
+    times the first."""
+    n, ints, d, values = data.draw(_lifted_matrices(fld))
+    if singular and n:
+        ints[-1] = [c * x for x in ints[0]]
+        values[-1] = [c * x for x in values[0]]
+    p, f = fld.p, LinearMap(n, fld, values)
+    if (rank_det_modp(ints, p)[0] if p else rank_fraction(ints)) < n:
+        for invert in (lambda: homlie.linalg._inverse(ints, d, p),
+                       lambda: homlie.linalg.inverse(fld, values), f.inverse):
+            with pytest.raises(SingularMatrixError):
+                invert()
+        return
+    lifted, e = homlie.linalg._inverse(ints, d, p)
+    inv = homlie.linalg.inverse(fld, values)
+    assert [_unlift(fld, row, e) for row in lifted] == inv
+    assert (lifted, e) == _lift_rows(fld, inv)
+    for col in range(n):
+        assert oracle_mat_vec(values, [row[col] for row in inv], p) == [int(r == col) for r in range(n)]
+    assert f.inverse() == LinearMap(n, fld, inv) and f.inverse().lift() == LinearMap(n, fld, inv).lift()
 
 
 def test_random_algebra_fills_prime_residues(fp):
@@ -313,6 +389,8 @@ def test_linear_map_validates_shape(qq):
         LinearMap(3, qq, [[qq.zero] * 3] * 2)
     with pytest.raises(ShapeError):
         LinearMap.from_flat(3, qq, [qq.zero] * 8)
+    with pytest.raises(ShapeError, match="dimension must be a non-negative integer, got -1"):
+        LinearMap(-1, qq, [])
 
 
 def test_linear_map_entry_positions_are_index_pairs(qq):

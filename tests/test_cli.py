@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -160,7 +162,10 @@ def test_verify_rejects_shape_mismatch(capsys, fixtures_dir, tmp_path):
      '"products": [{"left": true, "right": 2, "coeffs": ["0", "0", "1"]}]}', None, "True"),
     ('{"dim": 1, "field": {"kind": "rational"}, "products": []}',
      '{"dim": true, "field": {"kind": "rational"}, "columns": [["1"]]}', "True"),
-], ids=["algebra-dim", "product-left", "map-dim"])
+    # a negative map dimension is refused by name, like a boolean one
+    ('{"dim": 1, "field": {"kind": "rational"}, "products": []}',
+     '{"dim": -1, "field": {"kind": "rational"}, "columns": []}', "non-negative integer, got -1"),
+], ids=["algebra-dim", "product-left", "map-dim", "map-negative-dim"])
 def test_json_booleans_are_not_integers(capsys, tmp_path, algebra, map_obj, needle):
     apath = tmp_path / "bool_algebra.json"
     apath.write_text(algebra, encoding="utf-8")
@@ -494,9 +499,12 @@ def test_internal_errors_exit_2(capsys, fixtures_dir, monkeypatch):
 
 
 def test_module_entry_point(fixtures_dir):
+    # the child imports this checkout's package however the suite was started
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
         [sys.executable, "-m", "homlie", "check", fixture(fixtures_dir, "abelian3")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["nullity"] == 9

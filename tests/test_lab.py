@@ -114,14 +114,14 @@ def _is_nonzero_multiple(got: LinearMap, want: LinearMap) -> bool:
 def test_invariance_battery_tests_each_conjugated_kernel_map(named, fp, monkeypatch):
     """The battery hands is_in_kernel one multiple of g o f o g^-1 per kernel
     map f and trial. It asks each g for its inverse twice (once inside
-    transport), but eliminates g once: `linalg.inverse` runs once per drawn
-    candidate, in the draw, and `linalg.rank` never. No candidate of these
-    seeds is singular, so that is once per trial."""
+    transport), but eliminates g once: the inversion core `linalg._inverse`
+    runs once per drawn candidate, in the draw, and `linalg.rank` never.
+    No candidate of these seeds is singular, so that is once per trial."""
     algebras = [entry.algebra for entry in named.values()]
     algebras += [random_algebra(n, fp, seed=90 + n) for n in (3, 4, 5)]
     trials = 2
     original_inverse = LinearMap.inverse
-    original_linalg_inverse, original_rank = homlie.linalg.inverse, homlie.linalg.rank
+    original_core, original_rank = homlie.linalg._inverse, homlie.linalg.rank
     for A in algebras:
         seen, inverted, eliminated = [], [], []
 
@@ -133,9 +133,9 @@ def test_invariance_battery_tests_each_conjugated_kernel_map(named, fp, monkeypa
             inverted.append(g)
             return original_inverse(g)
 
-        def counted_linalg_inverse(fld, mat):
+        def counted_core(rows, d, p):
             eliminated.append("inverse")
-            return original_linalg_inverse(fld, mat)
+            return original_core(rows, d, p)
 
         def counted_rank(fld, mat):
             eliminated.append("rank")
@@ -143,7 +143,7 @@ def test_invariance_battery_tests_each_conjugated_kernel_map(named, fp, monkeypa
 
         monkeypatch.setattr(homlie.lab, "is_in_kernel", spy)
         monkeypatch.setattr(LinearMap, "inverse", counted_inverse)
-        monkeypatch.setattr(homlie.linalg, "inverse", counted_linalg_inverse)
+        monkeypatch.setattr(homlie.linalg, "_inverse", counted_core)
         monkeypatch.setattr(homlie.linalg, "rank", counted_rank)
         assert invariance_battery(A, trials=trials, seed=95) is True
         monkeypatch.undo()
@@ -174,8 +174,11 @@ def test_invariance_battery_conjugates_as_the_dense_product(named, monkeypatch):
     for integer, where F lifts a base kernel map by its common denominator.
     The moved Q algebras have kernel maps whose entries have different
     denominators. Every conjugation product takes an entry of G or of H,
-    so counting theirs counts them all: at most nnz(F)·n + |cols(F)|·n²,
-    never more than the 2n³ of the dense product."""
+    which the battery reads from `LinearMap.lift`, so counting the
+    products of lifted entries counts them all: at most
+    nnz(F)·n + |cols(F)|·n², never more than the 2n³ of the dense product.
+    transport and is_in_kernel also read lifts, so the count restarts
+    when each returns."""
     algebras = [
         named["cross_product3"].algebra.transport(random_invertible_map(3, QQ, 99)),
         named["sl2_plus_abelian4"].algebra.transport(random_invertible_map(4, QQ, 5)),
@@ -184,9 +187,16 @@ def test_invariance_battery_conjugates_as_the_dense_product(named, monkeypatch):
     algebras += [random_algebra(n, PrimeField(p), seed=1) for p, n in ((2, 4), (3, 4), (10007, 3))]
     trials, seed = 2, 100
 
-    def counted_lift(fld, rows):
-        ints, d = _lift_rows(fld, rows)
-        return [[_CountedInt(x) for x in row] for row in ints], d
+    original_lift, original_transport = LinearMap.lift, SkewAlgebra.transport
+
+    def counted_lift(f):
+        ints, d = original_lift(f)
+        return tuple(tuple(map(_CountedInt, col)) for col in ints), d
+
+    def transport(B, g):
+        moved = original_transport(B, g)
+        _CountedInt.count = 0
+        return moved
 
     for A in algebras:
         fld, n = A.field, A.dim
@@ -195,12 +205,14 @@ def test_invariance_battery_conjugates_as_the_dense_product(named, monkeypatch):
         def spy(B, f, matrix=None):
             seen.append(f)
             counts.append(_CountedInt.count)
+            answer = is_in_kernel(B, f, matrix=matrix)
             _CountedInt.count = 0
-            return is_in_kernel(B, f, matrix=matrix)
+            return answer
 
         _CountedInt.count = 0
         monkeypatch.setattr(homlie.lab, "is_in_kernel", spy)
-        monkeypatch.setattr(homlie.lab, "_lift_rows", counted_lift)
+        monkeypatch.setattr(LinearMap, "lift", counted_lift)
+        monkeypatch.setattr(SkewAlgebra, "transport", transport)
         assert invariance_battery(A, trials=trials, seed=seed) is True
         monkeypatch.undo()
 
