@@ -21,9 +21,26 @@ Vector = tuple
 # Half-width of the integer range rational random draws take values from.
 DEFAULT_BOUND = 10
 
+# Largest output, in entries, that build_matrix (the Hom-Jacobi matrix,
+# rows x columns) and transport (n * C(n, 2) structure constants) admit:
+# above it the computation would take unbounded time and memory. The
+# matrix limit admits n <= 14 (998,816 entries; n = 8 has 28,672), the
+# transport limit n <= 126.
+MAX_ENTRIES = 1_000_000
+
 
 class SkewAlgebra:
     """Immutable skew-symmetric algebra over an exact field.
+
+    Over F_p the structure constants are residues, which are their own
+    integer lift. Over Q an algebra holds either its values, when built by
+    the constructor (files, `make_algebra`, `random_algebra`), or its lift
+    ({(i, j): ints}, d), when built by `_from_ints` from integers (a
+    transported algebra): the one `field._lift_rows` gives for its values,
+    with d the lcm of the reduced denominators. `_lift_constants` returns
+    the kept lift or computes one from the values each call, keeping
+    nothing; `constants` is the values, made from the lift on first read
+    and then kept. Equality compares lifts, which are canonical.
 
     `_kernel` keeps the tuple of canonical kernel maps that the first
     `lab.invariance_battery` call for the algebra computes; later calls
@@ -31,13 +48,30 @@ class SkewAlgebra:
     changed in place.
     """
 
-    __slots__ = ("dim", "field", "constants", "_kernel")
+    __slots__ = ("dim", "field", "_constants", "_lift", "_kernel")
 
     def __init__(self, dim: int, field: Field, constants: dict):
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "constants", constants)
-        object.__setattr__(self, "_kernel", None)
+        for name, value in zip(self.__slots__, (dim, field, constants, None, None)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _from_ints(cls, dim: int, field: Field, C: dict, d: int = 1) -> "SkewAlgebra":
+        """The algebra whose constants are C[i, j] / d, for integer vectors
+        of length dim and a positive d (1 over F_p), unchecked. Pairs whose
+        vector is zero are dropped; over F_p the constants are the residues
+        of C, over Q the lift is reduced by its common factor, so
+        canonical."""
+        p = field.p
+        vecs = ((pair, tuple(x % p for x in vec) if p else tuple(vec)) for pair, vec in C.items())
+        C = {pair: vec for pair, vec in vecs if any(vec)}
+        if p:
+            return cls(dim, field, C)
+        g = gcd(d, *chain.from_iterable(C.values())) if d != 1 else 1
+        if g != 1:
+            C, d = {pair: tuple(x // g for x in vec) for pair, vec in C.items()}, d // g
+        self = cls(dim, field, None)
+        object.__setattr__(self, "_lift", (C, d))
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("SkewAlgebra is immutable")
@@ -47,11 +81,23 @@ class SkewAlgebra:
             isinstance(other, SkewAlgebra)
             and self.dim == other.dim
             and self.field == other.field
-            and self.constants == other.constants
+            and _lift_constants(self) == _lift_constants(other)
         )
 
     def __repr__(self):
         return f"SkewAlgebra(dim={self.dim}, field={self.field!r}, products={len(self.constants)})"
+
+    @property
+    def constants(self) -> dict:
+        """{(i, j): mu(e_i, e_j)} over the pairs i < j with a nonzero
+        product, as field values; over Q `Fraction`s sharing one zero when
+        made from the lift."""
+        C = self._constants
+        if C is None:
+            ints, d = self._lift
+            C = {pair: tuple(_unlift(self.field, vec, d)) for pair, vec in ints.items()}
+            object.__setattr__(self, "_constants", C)
+        return C
 
     def zero_vector(self) -> Vector:
         return tuple(self.field.zero for _ in range(self.dim))
@@ -91,24 +137,23 @@ class SkewAlgebra:
         """The isomorphic algebra mu'(x, y) = g(mu(g^-1 x, g^-1 y)).
 
         g is the isomorphism from this algebra to the result, so transport
-        is a left group action. Raises SingularMatrixError for singular g.
-        It runs on the integer lifts of the constants, and on those g and
-        g^-1 hold (`LinearMap.lift`), and divides each coordinate once.
+        is a left group action. Raises SingularMatrixError for singular g,
+        and ShapeError, before g is inverted, when the result would have
+        more than MAX_ENTRIES constants (`check_transport_size`). It runs
+        on the integer lifts of the constants, and on those g and g^-1
+        hold (`LinearMap.lift`), and the result keeps the integer product
+        as its lift (`_from_ints`).
         """
         _check_same_space(self, g)
-        f, n = self.field, self.dim
+        n = self.dim
+        check_transport_size(n)
         C, d = _lift_constants(self)
         inv_cols, e = g.inverse().lift()
         img_cols, h = g.lift()
-        den = h * d * e * e
         pairs = list(combinations(range(1, n + 1), 2))
         mids = [_product(C, inv_cols[i - 1], inv_cols[j - 1], [0] * n) for i, j in pairs]
-        constants = {}
-        for pair, col in zip(pairs, _mat_mul(img_cols, mids)):
-            w = _unlift(f, col, den)
-            if any(w):
-                constants[pair] = tuple(w)
-        return SkewAlgebra(n, f, constants)
+        moved = dict(zip(pairs, _mat_mul(img_cols, mids)))
+        return SkewAlgebra._from_ints(n, self.field, moved, h * d * e * e)
 
 
 class LinearMap:
@@ -116,12 +161,14 @@ class LinearMap:
 
     Over F_p the entries are residues, which are their own integer lift.
     Over Q a map holds either its values, when built by the constructor
-    from field values, or its lift (ints, d), when built by `_from_ints`
-    from integers: the one `field._lift_rows` gives for its values, with
-    d the lcm of the entries' reduced denominators. `lift` returns the
-    kept lift or computes one from the values each call, keeping nothing;
-    `columns` is the values, made from the lift on first read and then
-    kept. Equality compares lifts, which are canonical.
+    from field values (files, `from_flat`, `from_entries`, `identity`,
+    `zero`), or its lift (ints, d), when built by `_from_ints` from
+    integers (draws, inverses, `compose`, `system.kernel_basis` maps, the
+    battery's conjugated maps): the one `field._lift_rows` gives for its
+    values, with d the lcm of the entries' reduced denominators. `lift`
+    returns the kept lift or computes one from the values each call,
+    keeping nothing; `columns` is the values, made from the lift on first
+    read and then kept. Equality compares lifts, which are canonical.
 
     `_inverse` is None, except on a map drawn by `random_invertible_map`,
     which keeps the inverse its draw computed so that `inverse` returns
@@ -289,9 +336,26 @@ def _mat_mul(a_cols, b_cols) -> list:
 
 def _lift_constants(A: SkewAlgebra) -> tuple[dict, int]:
     """({(i, j): lifted constants}, d): every structure constant of A
-    lifted by one common denominator d (Field.lift)."""
+    lifted by one common denominator d (Field.lift); the lift A keeps, if
+    it was built from integers (see `SkewAlgebra`)."""
+    if A._lift is not None:
+        return A._lift
+    if A.field.p:
+        return A.constants, 1
     rows, d = _lift_rows(A.field, A.constants.values())
-    return dict(zip(A.constants, rows)), d
+    return dict(zip(A.constants, map(tuple, rows))), d
+
+
+def check_transport_size(n: int) -> None:
+    """Raise ShapeError if transporting an n-dimensional algebra would
+    compute more than MAX_ENTRIES structure constants, n * C(n, 2): the
+    limit admits n <= 126 (992,250 constants)."""
+    constants = n * n * (n - 1) // 2
+    if constants > MAX_ENTRIES:
+        raise ShapeError(
+            f"dimension {n}: the transported algebra would have {constants:,} structure "
+            f"constants, above the limit of {MAX_ENTRIES:,}"
+        )
 
 
 def _check_same_space(a, b):

@@ -12,8 +12,10 @@ common denominator of its entries, callers compute on the `int`s and
 `_unlift` turns a result back into `Fraction`s once, at the output. Over
 F_p `lift` is the identity with denominator 1. `_lift_rows` lifts a whole
 matrix by one denominator, the lcm of its entries' reduced denominators;
-a `LinearMap` built from integers holds exactly that lift of its columns
-(see `algebra.LinearMap`), so its consumers read it instead of lifting.
+a `LinearMap` built from integers (a draw, an inverse, a composition, a
+kernel map) holds exactly that lift of its columns, and a transported
+`SkewAlgebra` that lift of its constants (see `algebra.LinearMap` and
+`algebra.SkewAlgebra`), so their consumers read it instead of lifting.
 """
 
 from __future__ import annotations

@@ -95,8 +95,11 @@ def invariance_battery(A: SkewAlgebra, trials: int, seed: int) -> bool:
     transported kernel for every canonical kernel basis map f. Each g is
     inverted once, by its draw's invertibility test, and is built with its
     inverse from their integer lifts (see `LinearMap`); `transport` and
-    the conjugation below read those lifts. The map tested is the integer
-    product G·F·H of the lifts of g, f and g^-1: a nonzero integer
+    the conjugation below read those lifts. The transported algebra keeps
+    the lift `transport` computes, which `build_matrix` reads, and the
+    base kernel maps are built from the lifts of `kernel_basis`, which
+    the conjugation reads, so no trial makes a `Fraction`. The map tested
+    is the integer product G·F·H of the lifts of g, f and g^-1: a nonzero integer
     multiple of g o f o g^-1, which is in the kernel exactly when
     g o f o g^-1 is, built from those integers (residues mod p over F_p)
     with no check. It is formed from F's nonzero entries a_pq: column q of
@@ -108,7 +111,11 @@ def invariance_battery(A: SkewAlgebra, trials: int, seed: int) -> bool:
     matrix keeps its echelon basis, and each membership test reads that
     basis, not the transported matrix's rows (see `system.is_in_kernel`).
     A keeps its base kernel maps (and nothing else of its system) from
-    the first call, so only that call eliminates A's own matrix.
+    the first call, so only that call eliminates A's own matrix. When
+    A's nullity is n^2 (A's matrix is zero, as for the 2-step nilpotent
+    algebras), so is every moved nullity the check accepts, and a zero
+    matrix holds every map: the trials then form no conjugated map, and
+    the answer is the one the membership tests would give.
 
     The seed must lie in [0, 2^64): the random streams read it modulo 2^64,
     so any other seed would repeat the draws of one inside the range.
@@ -122,7 +129,9 @@ def invariance_battery(A: SkewAlgebra, trials: int, seed: int) -> bool:
     if base is None:
         base = tuple(kernel_basis(build_matrix(A)).maps)
         object.__setattr__(A, "_kernel", base)
-    sparse = [_nonzero_columns(f) for f in base]
+    # at nullity n^2 the moved matrices are zero (rank 0, as for the 2-step
+    # nilpotent algebras) and hold every map, so no conjugation is formed
+    sparse = [_nonzero_columns(f) for f in base] if len(base) < n * n else []
     for t in range(trials):
         g = random_invertible_map(n, fld, rng.split(seed, t))
         moved = A.transport(g)

@@ -9,9 +9,10 @@ and RREF, and elimination runs on Python `int`s; `rref` and `det` make
 pass, `_eliminate`, which reads rows until it has a pivot in every
 column: rank and a trivial kernel take no more and never back-substitute,
 and `rref` back-substitutes its at most ncols pivot rows afterwards (the
-RREF depends only on the row space). The inverse core `_inverse` works on
-integer rows and returns the inverse lifted, for callers that hold
-integers; `inverse` is its field values. Every determinant is the Bareiss
+RREF depends only on the row space). The kernel core `_kernel` and the
+inverse core `_inverse` work on integer rows and return their results
+lifted, for callers that hold integers; `nullspace` and `inverse` are
+their field values. Every determinant is the Bareiss
 determinant of the integer lift, `det_bareiss_int`: it is exact over Z,
 so over F_p the integer determinant of the residues, reduced mod p, is
 the determinant.
@@ -89,29 +90,29 @@ def _back(basis: list, pivots: list[int], p: int) -> tuple[list, list[int]]:
     return red[::-1], pivots[::-1]
 
 
-def _reduced(field: Field, basis: list, pivots: list[int]) -> tuple[list, list[int]]:
-    """RREF rows (field values, ascending pivots) and pivots of an echelon
-    basis from `_eliminate` (see `_back`); over Q each row is divided by
-    its pivot."""
-    red, pivots = _back(basis, pivots, field.p)
-    return [_unlift(field, row, row[c]) for row, c in zip(red, pivots)], pivots
-
-
-def _kernel(field: Field, basis: list, pivots: list[int], ncols: int) -> list[list]:
+def _kernel(basis: list, pivots: list[int], ncols: int, p: int) -> list[tuple[list, int]]:
     """Canonical kernel basis from an echelon basis of `_eliminate`, empty
     at full column rank with no back-substitution: one vector per free
-    column, ascending, with free coordinate 1 and the rest off the RREF."""
+    column, ascending, with free coordinate 1 and the rest off the RREF,
+    each as its lift (ints, d). `_back`'s row for pivot c is piv times its
+    RREF row, so coordinate c is -row[free] / piv; over Q d is the lcm of
+    the reduced denominators piv / gcd(piv, row[free]), the canonical lift,
+    and over F_p the ints are residues and d is 1."""
     if len(pivots) == ncols:
         return []
-    red, pivots = _reduced(field, basis, pivots)
-    p = field.p
+    red, pivots = _back(basis, pivots, p)
     out = []
     for free in sorted(set(range(ncols)).difference(pivots)):
-        v = [field.zero] * ncols
-        v[free] = field.one
-        for row, c in zip(red, pivots):
-            v[c] = -row[free] % p if p else -row[free]
-        out.append(v)
+        v = [0] * ncols
+        if p:
+            d = v[free] = 1
+            for row, c in zip(red, pivots):
+                v[c] = -row[free] % p
+        else:
+            d = v[free] = lcm(*(row[c] // gcd(row[c], row[free]) for row, c in zip(red, pivots)))
+            for row, c in zip(red, pivots):
+                v[c] = -row[free] * d // row[c]
+        out.append((v, d))
     return out
 
 
@@ -121,7 +122,8 @@ def rref(field: Field, mat: list) -> tuple[list, list[int]]:
     once, at the end."""
     ncols = len(mat[0]) if mat else 0
     p, rows = _plain(field, mat)
-    red, pivots = _reduced(field, *_eliminate(rows, ncols, p))
+    red, pivots = _back(*_eliminate(rows, ncols, p), p)
+    red = [_unlift(field, row, row[c]) for row, c in zip(red, pivots)]
     return red + [_unlift(field, [0] * ncols) for _ in range(len(mat) - len(red))], pivots
 
 
@@ -132,9 +134,10 @@ def rank(field: Field, mat: list) -> int:
 
 
 def nullspace(field: Field, mat: list, ncols: int) -> list[list]:
-    """Canonical kernel basis read off the RREF (see `_kernel`)."""
+    """Canonical kernel basis read off the RREF: the values of `_kernel`'s
+    lifts."""
     p, rows = _plain(field, mat)
-    return _kernel(field, *_eliminate(rows, ncols, p), ncols)
+    return [_unlift(field, v, d) for v, d in _kernel(*_eliminate(rows, ncols, p), ncols, p)]
 
 
 def identity(field: Field, n: int) -> list:

@@ -29,8 +29,9 @@ them. The rows of a triple need the blocks mu(mu(e_u,e_v), e_p) of its
 three pairs. Each block is computed on first use from the n - 1 stored
 pairs that contain p, and kept in a block table that every restriction of
 the matrix shares. Over Q the constants are lifted to integers by their
-common denominator d; M is quadratic in them, so the rows are the integers
-d^2 M, which rank, kernel, membership and the determinant read.
+common denominator d (a transported algebra hands over the lift it
+keeps); M is quadratic in them, so the rows are the integers d^2 M, which
+rank, kernel, membership and the determinant read.
 `int_rows` assembles the kept rows in the frozen order on first read, and
 `rows` makes `Fraction`s from them only when read. `rank` and
 `kernel_basis` stream the triples, the n cyclic triples first, through one
@@ -56,14 +57,10 @@ from operator import mul
 
 from . import linalg
 
-from .algebra import LinearMap, SkewAlgebra, _check_same_space, _lift_constants, _position
+from .algebra import (MAX_ENTRIES, LinearMap, SkewAlgebra, _check_same_space, _lift_constants,
+                      _position)
 from .errors import ShapeError
 from .field import Field, Scalar, _unlift
-
-# Largest matrix build_matrix admits, in entries (rows x columns): above it
-# the dense matrix and its elimination would take unbounded memory. The
-# limit admits n <= 14 (998,816 entries); n = 8 has 28,672.
-MAX_ENTRIES = 1_000_000
 
 # The largest prime below 2^30, so residues stay one CPython digit. Over Q
 # the cyclic rows are first eliminated modulo it (see `_echelon`).
@@ -302,7 +299,7 @@ def _echelon(M: HomJacobiMatrix) -> tuple[list, list[int]]:
     Otherwise the exact pass decides, reading the same kept rows. A pass
     that ends below full rank has read every row, so its basis then spans
     M's row space. The result is kept in M on the first call and returned
-    by every later one: `_eliminate` and `_reduced` never modify the rows
+    by every later one: `_eliminate` and `_back` never modify the rows
     they read.
     """
     kept = M._echelon_form
@@ -321,14 +318,17 @@ def _echelon(M: HomJacobiMatrix) -> tuple[list, list[int]]:
 def kernel_basis(M: HomJacobiMatrix) -> KernelBasis:
     """Canonical kernel basis read off the RREF of M's echelon basis; empty,
     with no back-substitution, at full column rank. Each kernel vector
-    becomes a map through M.support, zero elsewhere."""
-    n = M.dim
+    comes lifted from `linalg._kernel` and is placed through M.support,
+    zero elsewhere, into a map built from those integers
+    (`LinearMap._from_ints`), whose values are made only when read."""
+    n, fld = M.dim, M.field
+    slots = [(q - 1) * n + (p - 1) for p, q in M.support]
     maps = []
-    for v in linalg._kernel(M.field, *_echelon(M), M.ncols):
-        flat = [M.field.zero] * (n * n)
-        for (p, q), x in zip(M.support, v):
-            flat[(q - 1) * n + (p - 1)] = x
-        maps.append(LinearMap.from_flat(n, M.field, flat))
+    for v, d in linalg._kernel(*_echelon(M), M.ncols, fld.p):
+        flat = [0] * (n * n)
+        for k, x in zip(slots, v):
+            flat[k] = x
+        maps.append(LinearMap._from_ints(fld, [flat[q * n : (q + 1) * n] for q in range(n)], d))
     return KernelBasis(maps)
 
 

@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import chain, combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,13 +12,15 @@ from homlie import (
     PrimeField,
     ShapeError,
     SingularMatrixError,
+    SkewAlgebra,
     make_algebra,
     random_algebra,
     random_invertible_map,
     random_linear_map,
     rng,
 )
-from homlie.algebra import DEFAULT_BOUND, _scalar_draw
+from homlie.algebra import (DEFAULT_BOUND, MAX_ENTRIES, _lift_constants, _scalar_draw,
+                            check_transport_size)
 from homlie.field import QQ, _lift_rows, _unlift
 from oracles import mat_vec as oracle_mat_vec, rank_det_modp, rank_fraction
 
@@ -179,6 +183,26 @@ def test_transport_rejects_singular_map(named):
     A = named["cross_product3"].algebra
     g = LinearMap.zero(3, QQ)
     with pytest.raises(SingularMatrixError):
+        A.transport(g)
+
+
+def test_transport_size_guard_admits_dimension_126_and_refuses_127():
+    # n * C(n, 2) moved constants: 992,250 at n = 126, 1,016,127 at n = 127
+    assert 126 * 126 * 125 // 2 <= MAX_ENTRIES < 127 * 127 * 126 // 2
+    check_transport_size(126)
+    with pytest.raises(ShapeError, match="dimension 127: .* 1,016,127 structure constants"):
+        check_transport_size(127)
+
+
+def test_oversized_transport_is_refused_before_inverting(monkeypatch):
+    A = make_algebra(127, QQ, [])
+    g = LinearMap.identity(127, QQ)
+
+    def inverse(*args):
+        raise AssertionError("g was inverted")
+
+    monkeypatch.setattr(homlie.linalg, "_inverse", inverse)
+    with pytest.raises(ShapeError, match="dimension 127"):
         A.transport(g)
 
 
@@ -347,6 +371,39 @@ def test_lifted_inverse_is_the_canonical_lift_of_the_inverse(fld, data, singular
     for col in range(n):
         assert oracle_mat_vec(values, [row[col] for row in inv], p) == [int(r == col) for r in range(n)]
     assert f.inverse() == LinearMap(n, fld, inv) and f.inverse().lift() == LinearMap(n, fld, inv).lift()
+
+
+@pytest.mark.parametrize("fld", LIFT_FIELDS, ids=LIFT_FIELD_IDS)
+@settings(max_examples=40)
+@given(data=st.data())
+def test_algebras_from_integers_keep_the_canonical_lift(fld, data):
+    """An algebra built from integers drops the pairs whose constants are
+    zero and keeps the canonical lift: residues over F_p, and over Q the
+    lift reduced so that gcd(d, ints) = 1, the one `_lift_rows` gives for
+    its values. It equals the algebra built from those values, with the
+    same constants, and the algebra built from that one's lift equals it."""
+    p = fld.p
+    n = data.draw(st.integers(1, 5))
+    entry = st.integers(-BIG, BIG) | st.integers(-2, 2)
+    vector = st.lists(entry, min_size=n, max_size=n) | st.just([0] * n)
+    C = {pair: data.draw(vector) for pair in combinations(range(1, n + 1), 2)
+         if data.draw(st.booleans())}
+    d = 1
+    if not p:
+        k = data.draw(st.integers(1, 2**20))
+        C, d = {pair: [k * x for x in vec] for pair, vec in C.items()}, k * data.draw(st.integers(1, BIG))
+    A = SkewAlgebra._from_ints(n, fld, C, d)
+    twin = make_algebra(n, fld, [(i, j, [x if p else Fraction(x, d) for x in vec])
+                                 for (i, j), vec in C.items()])
+    assert A == twin and twin == A and A.constants == twin.constants
+    ints, e = _lift_constants(A)
+    assert set(ints) == {pair for pair, vec in C.items() if any(x % p if p else x for x in vec)}
+    if p:
+        assert e == 1 and all(0 <= x < p for vec in ints.values() for x in vec)
+    else:
+        assert A._lift is not None and gcd(e, *chain.from_iterable(ints.values())) == 1
+    assert (ints, e) == _lift_constants(twin)
+    assert SkewAlgebra._from_ints(n, fld, *_lift_constants(twin)) == twin
 
 
 def test_random_algebra_fills_prime_residues(fp):

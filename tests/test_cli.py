@@ -285,6 +285,16 @@ def test_oversized_inputs_fail_fast_with_exit_1(capsys, tmp_path):
         status, out, err = run(capsys, "sample", "--dim", dim, "--trials", "1", "--seed", "0")
         assert status == 1 and out == "" and f"dimension {dim}" in err
         assert time.perf_counter() - start < 5
+    # transporting a 127-dimensional algebra would compute 1,016,127 constants
+    apath = str(tmp_path / "abelian127.json")
+    with open(apath, "w", encoding="utf-8") as fh:
+        json.dump({"dim": 127, "field": {"kind": "rational"}, "products": []}, fh)
+    mpath = write_map(tmp_path, LinearMap.identity(127, QQ), "id127.json")
+    start = time.perf_counter()
+    status, out, err = run(capsys, "transport", apath, mpath)
+    assert status == 1 and out == ""
+    assert mpath in err and "dimension 127" in err
+    assert time.perf_counter() - start < 5
 
 
 def test_transport_round_trip_preserves_nullity(capsys, fixtures_dir, tmp_path):

@@ -15,6 +15,7 @@ from homlie import (
     is_hom_lie,
     is_in_kernel,
     kernel_basis,
+    make_algebra,
     nullity,
     random_algebra,
     random_invertible_map,
@@ -113,15 +114,18 @@ def _is_nonzero_multiple(got: LinearMap, want: LinearMap) -> bool:
 
 def test_invariance_battery_tests_each_conjugated_kernel_map(named, fp, monkeypatch):
     """The battery hands is_in_kernel one multiple of g o f o g^-1 per kernel
-    map f and trial. It asks each g for its inverse twice (once inside
-    transport), but eliminates g once: the inversion core `linalg._inverse`
-    runs once per drawn candidate, in the draw, and `linalg.rank` never.
-    No candidate of these seeds is singular, so that is once per trial."""
+    map f and trial, unless the nullity is n^2: then the moved matrices
+    are zero and it hands none (see the rank-0 test below). It asks each g
+    for its inverse twice (once inside transport), but eliminates g once:
+    the inversion core `linalg._inverse` runs once per drawn candidate, in
+    the draw, and `linalg.rank` never. No candidate of these seeds is
+    singular, so that is once per trial."""
     algebras = [entry.algebra for entry in named.values()]
     algebras += [random_algebra(n, fp, seed=90 + n) for n in (3, 4, 5)]
     trials = 2
     original_inverse = LinearMap.inverse
     original_core, original_rank = homlie.linalg._inverse, homlie.linalg.rank
+    conjugated = []
     for A in algebras:
         seen, inverted, eliminated = [], [], []
 
@@ -152,9 +156,14 @@ def test_invariance_battery_tests_each_conjugated_kernel_map(named, fp, monkeypa
         assert inverted == [g for g in gs for _ in range(2)]
         assert eliminated == ["inverse"] * trials
         base = kernel_basis(build_matrix(A)).maps
+        if len(base) == A.dim ** 2:
+            assert seen == [], A
+            continue
         expected = [g.compose(f).compose(g.inverse()) for g in gs for f in base]
         assert len(seen) == len(expected) == len(base) * trials
         assert all(_is_nonzero_multiple(got, want) for got, want in zip(seen, expected))
+        conjugated.append(A)
+    assert len(conjugated) == 6
 
 
 class _CountedInt(int):
@@ -178,11 +187,15 @@ def test_invariance_battery_conjugates_as_the_dense_product(named, monkeypatch):
     products of lifted entries counts them all: at most
     nnz(F)·n + |cols(F)|·n², never more than the 2n³ of the dense product.
     transport and is_in_kernel also read lifts, so the count restarts
-    when each returns."""
+    when each returns. Every algebra here has 0 < nullity < n², so the
+    battery conjugates; the 5-dimensional filiform algebra's kernel maps
+    have one nonzero entry each (n + n² products)."""
+    filiform5 = make_algebra(5, QQ, [(1, 2, [0, 0, 1, 0, 0]), (1, 3, [0, 0, 0, 1, 0]),
+                                     (1, 4, [0, 0, 0, 0, 1])])
     algebras = [
         named["cross_product3"].algebra.transport(random_invertible_map(3, QQ, 99)),
         named["sl2_plus_abelian4"].algebra.transport(random_invertible_map(4, QQ, 5)),
-        named["abelian5"].algebra,
+        filiform5,
     ]
     algebras += [random_algebra(n, PrimeField(p), seed=1) for p, n in ((2, 4), (3, 4), (10007, 3))]
     trials, seed = 2, 100
@@ -229,11 +242,52 @@ def test_invariance_battery_conjugates_as_the_dense_product(named, monkeypatch):
         assert all(0 < c <= b <= 2 * n**3 for c, b in zip(counts, bounds)), (A, counts)
 
 
+@pytest.mark.parametrize("name", ["abelian3", "abelian4", "abelian5", "heisenberg3"])
+def test_invariance_battery_forms_no_conjugate_at_rank_0(name, monkeypatch):
+    """A 2-step nilpotent algebra has a zero Hom-Jacobi matrix, and so has
+    every algebra moved from it: nullity n², every map a twisting map. The
+    battery still checks each moved nullity, but forms no conjugated map,
+    and answers as the full conjugation path does. A wrong moved nullity
+    still returns False."""
+    A = catalog()[[e.name for e in catalog()].index(name)].algebra
+    n, trials, seed = A.dim, 3, 101
+    base = kernel_basis(build_matrix(A)).maps
+    assert len(base) == n * n
+    full = True
+    for t in range(trials):
+        g = random_invertible_map(n, A.field, rng.split(seed, t))
+        moved = A.transport(g)
+        moved_matrix = build_matrix(moved)
+        full = full and nullity(moved_matrix) == len(base) and all(
+            is_in_kernel(moved, g.compose(f).compose(g.inverse()), matrix=moved_matrix)
+            for f in base)
+    formed, nullities = [], []
+
+    def combination(terms):
+        formed.append(terms)
+        return homlie.lab._combination(terms)
+
+    def counted_nullity(M):
+        nullities.append(M)
+        return nullity(M)
+
+    monkeypatch.setattr(homlie.lab, "_combination", combination)
+    monkeypatch.setattr(homlie.lab, "is_in_kernel", lambda *args, **kw: formed.append(args))
+    monkeypatch.setattr(homlie.lab, "nullity", counted_nullity)
+    assert invariance_battery(A, trials=trials, seed=seed) is full is True
+    assert formed == [] and len(nullities) == trials
+    monkeypatch.setattr(homlie.lab, "nullity", lambda M: n * n - 1)
+    assert invariance_battery(A, trials=trials, seed=seed) is False
+    assert formed == []
+
+
 def test_invariance_battery_keeps_the_base_kernel(monkeypatch):
     # the first battery on an algebra keeps its base kernel maps, those of a
-    # fresh kernel_basis; a later call reads no kernel off an RREF (the moved
-    # matrices need only their nullity and membership). An equal but distinct
-    # algebra and a transported one (even by Id) keep kernels of their own
+    # fresh kernel_basis, built from the lifts `linalg._kernel` returns: over
+    # Q the battery never makes their `Fraction` columns. A later call reads
+    # no kernel off an RREF (the moved matrices need only their nullity and
+    # membership). An equal but distinct algebra and a transported one (even
+    # by Id) keep kernels of their own
     kernel, calls = homlie.linalg._kernel, []
 
     def counted(*args):
@@ -247,6 +301,8 @@ def test_invariance_battery_keeps_the_base_kernel(monkeypatch):
         assert invariance_battery(A, 1, 97) is True and len(calls) == 1
         assert invariance_battery(A, 1, 98) is True and len(calls) == 1
         assert A._kernel == tuple(expected)
+        if not A.field.p:
+            assert all(f._lift is not None and f._columns is None for f in A._kernel)
         twin = SkewAlgebra(A.dim, A.field, dict(A.constants))
         moved_by_id = A.transport(LinearMap.identity(A.dim, A.field))
         for count, B in enumerate((twin, moved_by_id), start=2):

@@ -9,7 +9,8 @@ the cyclic rows are first eliminated.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +33,7 @@ from homlie import (
     restrict_columns,
     rng,
 )
+from homlie.algebra import _lift_constants
 from homlie.lab import catalog
 
 from oracles import (det_fraction, hom_jacobi_rows, mat_vec, nullspace_fraction, rank_fraction,
@@ -97,6 +99,35 @@ def _oracle_transport(A, g):
         if any(w):
             out[i, j] = tuple(w)
     return out
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_moved_algebras_keep_the_canonical_lift(data):
+    """transport keeps the integer product as the moved algebra's lift: its
+    constants are the oracle's, the zero pairs are dropped, the lift is
+    canonical (gcd(d, ints) = 1) and the algebra equals the one built from
+    the oracle's values. A scaled permutation keeps sparse products
+    sparse, so some moved pairs are zero."""
+    name, A = data.draw(st.sampled_from([case for case in CASES if case[1].dim <= 5]))
+    n = A.dim
+    if data.draw(st.booleans()):
+        g = random_invertible_map(n, QQ, data.draw(st.integers(0, 2**32 - 1)),
+                                  bound=data.draw(st.integers(1, 5)))
+    else:
+        perm = data.draw(st.permutations(range(n)))
+        scale = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.sampled_from(DENOMINATORS[:4]))
+        g = LinearMap(n, QQ, [[data.draw(scale) if a == perm[q] else QQ.zero for a in range(n)]
+                              for q in range(n)])
+    moved = A.transport(g)
+    oracle = _oracle_transport(A, g)
+    ints, d = _lift_constants(moved)
+    assert moved._lift is not None and set(ints) == set(oracle)
+    assert all(any(vec) for vec in ints.values())
+    assert gcd(d, *chain.from_iterable(ints.values())) == 1
+    twin = make_algebra(n, QQ, [(i, j, vec) for (i, j), vec in oracle.items()])
+    assert moved == twin and twin == moved and (ints, d) == _lift_constants(twin)
+    assert moved.constants == oracle
 
 
 def test_case_families_cover_the_lifted_path():

@@ -204,10 +204,14 @@ def test_rational_elimination_keeps_entries_minor_sized():
         basis, pivots = linalg._eliminate(rows, 12, 0)
         assert rows == m  # the core reads its rows and never modifies them
         assert basis != m[: len(basis)]
-        red, red_pivots = linalg._reduced(QQ, basis, pivots)
+        red, red_pivots = linalg._back(basis, pivots, 0)
         assert red_pivots == sorted(pivots)
-        # lifting an RREF row recovers the primitive integer row it came from
-        for echelon in (basis, [QQ.lift(row)[0] for row in red]):
+        # each back-substituted row is the primitive integer multiple of its
+        # RREF row, the lift of that row up to sign
+        rref_rows = [[Fraction(x, row[c]) for x in row] for row, c in zip(red, red_pivots)]
+        assert [[abs(x) for x in row] for row in red] == [
+            [abs(x) for x in QQ.lift(row)[0]] for row in rref_rows]
+        for echelon in (basis, red):
             assert all(x * x <= bound for row in echelon for x in row)
 
 

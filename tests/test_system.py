@@ -30,7 +30,7 @@ from homlie import (
     rng,
     triple_count,
 )
-from homlie.field import QQ
+from homlie.field import QQ, _unlift
 from homlie.lab import catalog
 from homlie import linalg
 from homlie.system import MAX_ENTRIES, check_size
@@ -302,7 +302,7 @@ def test_generic_rank_reads_only_the_cyclic_rows(monkeypatch, fp, qq):
         raise AssertionError("back-substituted at full column rank")
 
     monkeypatch.setattr(linalg, "_eliminate", counting)
-    monkeypatch.setattr(linalg, "_reduced", no_back_substitution)
+    monkeypatch.setattr(linalg, "_back", no_back_substitution)
     generic = [random_algebra(n, fp, rng.split(62, n)) for n in range(4, 9)]
     generic += [random_algebra(n, qq, rng.split(63, n), bound=5) for n in range(4, 7)]
     for A in generic:
@@ -387,8 +387,73 @@ def test_kernel_does_not_depend_on_the_row_order(data, field, shape):
         M = restrict_columns(M, (diagonal_support if shape == "diag" else bidiagonal_support)(n))
     order = data.draw(st.permutations(range(triple_count(n))))
     rows = [row for t in order for row in M.int_rows[t * n : (t + 1) * n]]
-    got = linalg._kernel(field, *linalg._eliminate(rows, M.ncols, field.p), M.ncols)
-    assert got == _kernel_vectors(M)
+    got = linalg._kernel(*linalg._eliminate(rows, M.ncols, field.p), M.ncols, field.p)
+    assert [_unlift(field, v, d) for v, d in got] == _kernel_vectors(M)
+    # each lift is canonical: gcd(d, ints) = 1 over Q, residues over F_p
+    p = field.p
+    assert all(d == 1 and all(0 <= x < p for x in v) if p else math.gcd(d, *v) == 1
+               for v, d in got)
+
+
+KERNEL_FIELDS = (QQ, PrimeField(2), PrimeField(3), PrimeField(7), PrimeField(10007))
+
+
+@st.composite
+def _sparse_algebras(draw, field):
+    """Algebras of dimension 3..5 (3..4 over Q) whose structure constants
+    are mostly zero, so their Hom-Jacobi matrices are often rank
+    deficient; over Q the constants have mixed denominators, one of them
+    the prime of the mod-P step."""
+    n = draw(st.integers(3, 4 if field is QQ else 5))
+    if field is QQ:
+        value = st.builds(Fraction, st.integers(-3, 3),
+                          st.sampled_from((1, 2, 3, 12, CERTIFICATE_PRIME)))
+    else:
+        value = st.integers(0, field.p - 1)
+    entry = st.just(0) | value
+    products = [(i, j, draw(st.lists(entry, min_size=n, max_size=n)))
+                for i, j in combinations(range(1, n + 1), 2) if draw(st.integers(0, 2))]
+    return make_algebra(n, field, products)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=["QQ", "F2", "F3", "F7", "F10007"])
+@settings(max_examples=30)
+@given(data=st.data())
+def test_kernel_maps_built_from_integers_match_the_oracles(field, data):
+    """kernel_basis builds its maps from the integer lifts of
+    `linalg._kernel`. They are the oracle's canonical kernel vectors placed
+    through the support, on the whole matrix and on a random restriction;
+    each equals the map built from those values, and its kept lift is the
+    canonical one (gcd(d, ints) = 1 over Q, residues over F_p)."""
+    p = field.p
+    if data.draw(st.booleans()):
+        A = data.draw(_sparse_algebras(field))
+    else:
+        algebras = moved_lie_algebras(field)
+        A = algebras[data.draw(st.integers(0, len(algebras) - 1))]
+    n, M = A.dim, build_matrix(A)
+    whole = hom_jacobi_rows(A.constants, n)
+    if p:
+        whole = [[int(x) % p for x in row] for row in whole]
+    positions = list(M.support)
+    if data.draw(st.booleans()):
+        M = restrict_columns(M, data.draw(st.lists(st.sampled_from(positions), min_size=1)))
+    rows = [[row[(q - 1) * n + a - 1] for a, q in M.support] for row in whole]
+    oracle = nullspace_modp(rows, M.ncols, p) if p else nullspace_fraction(rows, M.ncols)
+    maps = kernel_basis(M).maps
+    assert len(maps) == len(oracle)
+    for f, v in zip(maps, oracle):
+        flat = [field.zero] * (n * n)
+        for (a, q), x in zip(M.support, v):
+            flat[(q - 1) * n + a - 1] = x
+        assert f.flatten() == flat
+        assert f == LinearMap.from_flat(n, field, flat)
+        ints, d = f.lift()
+        if p:
+            assert d == 1 and all(0 <= x < p for col in ints for x in col)
+        else:
+            assert f._lift is not None and math.gcd(d, *(x for col in ints for x in col)) == 1
+            assert (ints, d) == LinearMap.from_flat(n, field, flat).lift()
 
 
 def _eliminations(monkeypatch) -> list:
