@@ -249,7 +249,7 @@ def test_invariance_battery_forms_no_conjugate_at_rank_0(name, monkeypatch):
     battery still checks each moved nullity, but forms no conjugated map,
     and answers as the full conjugation path does. A wrong moved nullity
     still returns False."""
-    A = catalog()[[e.name for e in catalog()].index(name)].algebra
+    A = next(entry.algebra for entry in catalog() if entry.name == name)
     n, trials, seed = A.dim, 3, 101
     base = kernel_basis(build_matrix(A)).maps
     assert len(base) == n * n
@@ -262,17 +262,22 @@ def test_invariance_battery_forms_no_conjugate_at_rank_0(name, monkeypatch):
             is_in_kernel(moved, g.compose(f).compose(g.inverse()), matrix=moved_matrix)
             for f in base)
     formed, nullities = [], []
+    original_combination = homlie.lab._combination
 
     def combination(terms):
         formed.append(terms)
-        return homlie.lab._combination(terms)
+        return original_combination(terms)
+
+    def spy(B, f, matrix=None):
+        formed.append(f)
+        return is_in_kernel(B, f, matrix=matrix)
 
     def counted_nullity(M):
         nullities.append(M)
         return nullity(M)
 
     monkeypatch.setattr(homlie.lab, "_combination", combination)
-    monkeypatch.setattr(homlie.lab, "is_in_kernel", lambda *args, **kw: formed.append(args))
+    monkeypatch.setattr(homlie.lab, "is_in_kernel", spy)
     monkeypatch.setattr(homlie.lab, "nullity", counted_nullity)
     assert invariance_battery(A, trials=trials, seed=seed) is full is True
     assert formed == [] and len(nullities) == trials
