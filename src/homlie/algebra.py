@@ -8,13 +8,12 @@ throughout, matching the file formats.
 
 from __future__ import annotations
 
-from itertools import chain, combinations
-from math import gcd
+from itertools import combinations
 from operator import mul
 
 from . import linalg, rng
 from .errors import FieldMismatchError, ShapeError, SingularMatrixError
-from .field import Field, Scalar, _lift_rows, _unlift
+from .field import Field, Scalar, _canonical, _lift_rows, _unlift
 
 Vector = tuple
 
@@ -32,15 +31,13 @@ MAX_ENTRIES = 1_000_000
 class SkewAlgebra:
     """Immutable skew-symmetric algebra over an exact field.
 
-    Over F_p the structure constants are residues, which are their own
-    integer lift. Over Q an algebra holds either its values, when built by
-    the constructor (files, `make_algebra`, `random_algebra`), or its lift
-    ({(i, j): ints}, d), when built by `_from_ints` from integers (a
-    transported algebra): the one `field._lift_rows` gives for its values,
-    with d the lcm of the reduced denominators. `_lift_constants` returns
-    the kept lift or computes one from the values each call, keeping
-    nothing; `constants` is the values, made from the lift on first read
-    and then kept. Equality compares lifts, which are canonical.
+    Every algebra holds the canonical integer lift of its nonzero
+    products, ({(i, j): ints}, d), set at construction: the one
+    `field._lift_rows` gives for the values (residues and d = 1 over F_p,
+    d the lcm of the reduced denominators over Q). `lift` returns it and
+    equality compares it. The constructor takes values, checks and
+    reduces them, drops the zero pairs and keeps the rest as `constants`;
+    `_from_ints` (a transported algebra) makes `constants` on first read.
 
     `_kernel` keeps the tuple of canonical kernel maps that the first
     `lab.invariance_battery` call for the algebra computes; later calls
@@ -51,27 +48,20 @@ class SkewAlgebra:
     __slots__ = ("dim", "field", "_constants", "_lift", "_kernel")
 
     def __init__(self, dim: int, field: Field, constants: dict):
-        for name, value in zip(self.__slots__, (dim, field, constants, None, None)):
-            object.__setattr__(self, name, value)
+        field.check(constants.values())
+        C = {pair: vec for pair, vec in zip(constants, map(field.vector, constants.values()))
+             if any(vec)}
+        ints, d = _lift_rows(field, list(C.values()))
+        _set_slots(self, (dim, field, C, (dict(zip(C, map(tuple, ints))), d), None))
 
     @classmethod
     def _from_ints(cls, dim: int, field: Field, C: dict, d: int = 1) -> "SkewAlgebra":
         """The algebra whose constants are C[i, j] / d, for integer vectors
-        of length dim and a positive d (1 over F_p), unchecked. Pairs whose
-        vector is zero are dropped; over F_p the constants are the residues
-        of C, over Q the lift is reduced by its common factor, so
-        canonical."""
-        p = field.p
-        vecs = ((pair, tuple(x % p for x in vec) if p else tuple(vec)) for pair, vec in C.items())
-        C = {pair: vec for pair, vec in vecs if any(vec)}
-        if p:
-            return cls(dim, field, C)
-        g = gcd(d, *chain.from_iterable(C.values())) if d != 1 else 1
-        if g != 1:
-            C, d = {pair: tuple(x // g for x in vec) for pair, vec in C.items()}, d // g
-        self = cls(dim, field, None)
-        object.__setattr__(self, "_lift", (C, d))
-        return self
+        of length dim and a positive d (1 over F_p), unchecked: the lift
+        made canonical by `field._canonical`, with the zero pairs dropped."""
+        vecs, d = _canonical(field, C.values(), d)
+        lift = {pair: vec for pair, vec in zip(C, vecs) if any(vec)}
+        return _set_slots(object.__new__(cls), (dim, field, None, (lift, d), None))
 
     def __setattr__(self, name, value):
         raise AttributeError("SkewAlgebra is immutable")
@@ -81,11 +71,16 @@ class SkewAlgebra:
             isinstance(other, SkewAlgebra)
             and self.dim == other.dim
             and self.field == other.field
-            and _lift_constants(self) == _lift_constants(other)
+            and self._lift == other._lift
         )
 
     def __repr__(self):
-        return f"SkewAlgebra(dim={self.dim}, field={self.field!r}, products={len(self.constants)})"
+        return f"SkewAlgebra(dim={self.dim}, field={self.field!r}, products={len(self._lift[0])})"
+
+    def lift(self) -> tuple[dict, int]:
+        """({(i, j): ints}, d): the constants as integer tuples over one
+        denominator (see `SkewAlgebra`)."""
+        return self._lift
 
     @property
     def constants(self) -> dict:
@@ -147,7 +142,7 @@ class SkewAlgebra:
         _check_same_space(self, g)
         n = self.dim
         check_transport_size(n)
-        C, d = _lift_constants(self)
+        C, d = self._lift
         inv_cols, e = g.inverse().lift()
         img_cols, h = g.lift()
         pairs = list(combinations(range(1, n + 1), 2))
@@ -159,23 +154,21 @@ class SkewAlgebra:
 class LinearMap:
     """An endomorphism stored by columns: column q holds f(e_q).
 
-    Over F_p the entries are residues, which are their own integer lift.
-    Over Q a map holds either its values, when built by the constructor
-    from field values (files, `from_flat`, `from_entries`, `identity`,
-    `zero`), or its lift (ints, d), when built by `_from_ints` from
-    integers (draws, inverses, `compose`, `system.kernel_basis` maps, the
-    battery's conjugated maps): the one `field._lift_rows` gives for its
-    values, with d the lcm of the entries' reduced denominators. `lift`
-    returns the kept lift or computes one from the values each call,
-    keeping nothing; `columns` is the values, made from the lift on first
-    read and then kept. Equality compares lifts, which are canonical.
+    Every map holds the canonical integer lift of its columns, (ints, d),
+    set at construction: the one `field._lift_rows` gives for the values
+    (residues and d = 1 over F_p, d the lcm of the reduced denominators
+    over Q). `lift` returns it and equality compares it. The constructor
+    takes values (files, `from_flat`, `from_entries`, `identity`, `zero`),
+    checks and reduces them and keeps them as `columns`; `_from_ints`
+    (draws, inverses, `compose`, kernel maps, the battery's conjugated
+    maps) makes `columns` on first read.
 
     `_inverse` is None, except on a map drawn by `random_invertible_map`,
     which keeps the inverse its draw computed so that `inverse` returns
     it without another elimination. Equality ignores it.
     """
 
-    # dim is read off the columns, so a held map takes four slots
+    # dim is read off the lift, so a held map takes four slots
     __slots__ = ("field", "_columns", "_lift", "_inverse")
 
     def __init__(self, dim: int, field: Field, columns):
@@ -185,29 +178,16 @@ class LinearMap:
         if len(columns) != dim or any(len(col) != dim for col in columns):
             raise ShapeError(f"need {dim} columns of length {dim}")
         field.check(columns)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "_columns", tuple(map(field.vector, columns)))
-        object.__setattr__(self, "_lift", None)
-        object.__setattr__(self, "_inverse", None)
+        columns = tuple(map(field.vector, columns))
+        ints, d = _lift_rows(field, columns)
+        _set_slots(self, (field, columns, (tuple(map(tuple, ints)), d), None))
 
     @classmethod
     def _from_ints(cls, field: Field, ints, d: int = 1) -> "LinearMap":
         """The map whose columns are ints / d, for n integer columns of
-        length n and a positive d (1 over F_p), unchecked: over F_p the
-        residues of ints, over Q the lift reduced by its common factor, so
-        canonical."""
-        p = field.p
-        if p:
-            columns, lift = tuple(tuple(x % p for x in col) for col in ints), None
-        else:
-            g = gcd(d, *chain.from_iterable(ints)) if d != 1 else 1
-            if g != 1:
-                ints, d = [[x // g for x in col] for col in ints], d // g
-            columns, lift = None, (tuple(map(tuple, ints)), d)
-        self = object.__new__(cls)
-        for name, value in zip(cls.__slots__, (field, columns, lift, None)):
-            object.__setattr__(self, name, value)
-        return self
+        length n and a positive d (1 over F_p), unchecked: the lift made
+        canonical by `field._canonical`."""
+        return _set_slots(object.__new__(cls), (field, None, _canonical(field, ints, d), None))
 
     def __setattr__(self, name, value):
         raise AttributeError("LinearMap is immutable")
@@ -216,7 +196,7 @@ class LinearMap:
         return (
             isinstance(other, LinearMap)
             and self.field == other.field
-            and self.lift() == other.lift()
+            and self._lift == other._lift
         )
 
     def __repr__(self):
@@ -224,7 +204,7 @@ class LinearMap:
 
     @property
     def dim(self) -> int:
-        return len(self._lift[0] if self._columns is None else self._columns)
+        return len(self._lift[0])
 
     @property
     def columns(self) -> tuple:
@@ -238,14 +218,9 @@ class LinearMap:
         return cols
 
     def lift(self) -> tuple[tuple, int]:
-        """(ints, d): the columns as integer tuples over one denominator,
-        as `field._lift_rows` gives them (see `LinearMap`)."""
-        if self._lift is not None:
-            return self._lift
-        if self.field.p:
-            return self._columns, 1
-        rows, d = _lift_rows(self.field, self._columns)
-        return tuple(map(tuple, rows)), d
+        """(ints, d): the columns as integer tuples over one denominator
+        (see `LinearMap`)."""
+        return self._lift
 
     @classmethod
     def identity(cls, dim: int, field: Field) -> "LinearMap":
@@ -334,18 +309,6 @@ def _mat_mul(a_cols, b_cols) -> list:
     return [[sum(map(mul, row, col)) for row in a_rows] for col in b_cols]
 
 
-def _lift_constants(A: SkewAlgebra) -> tuple[dict, int]:
-    """({(i, j): lifted constants}, d): every structure constant of A
-    lifted by one common denominator d (Field.lift); the lift A keeps, if
-    it was built from integers (see `SkewAlgebra`)."""
-    if A._lift is not None:
-        return A._lift
-    if A.field.p:
-        return A.constants, 1
-    rows, d = _lift_rows(A.field, A.constants.values())
-    return dict(zip(A.constants, map(tuple, rows))), d
-
-
 def check_transport_size(n: int) -> None:
     """Raise ShapeError if transporting an n-dimensional algebra would
     compute more than MAX_ENTRIES structure constants, n * C(n, 2): the
@@ -356,6 +319,13 @@ def check_transport_size(n: int) -> None:
             f"dimension {n}: the transported algebra would have {constants:,} structure "
             f"constants, above the limit of {MAX_ENTRIES:,}"
         )
+
+
+def _set_slots(obj, values):
+    """obj with its slots set to values, in `__slots__` order; returns obj."""
+    for name, value in zip(type(obj).__slots__, values):
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def _check_same_space(a, b):
@@ -398,9 +368,7 @@ def make_algebra(dim: int, field: Field, products) -> SkewAlgebra:
         coeffs = tuple(coeffs)
         if len(coeffs) != dim:
             raise ShapeError(f"coefficient vector for ({i}, {j}) must have length {dim}")
-        vec = tuple(field.element(c) for c in coeffs)
-        if any(x != field.zero for x in vec):
-            constants[(i, j)] = vec
+        constants[(i, j)] = tuple(field.element(c) for c in coeffs)
     return SkewAlgebra(dim, field, constants)
 
 

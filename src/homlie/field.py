@@ -11,18 +11,19 @@ Over Q the computing values are integers: `lift` scales a vector by the
 common denominator of its entries, callers compute on the `int`s and
 `_unlift` turns a result back into `Fraction`s once, at the output. Over
 F_p `lift` is the identity with denominator 1. `_lift_rows` lifts a whole
-matrix by one denominator, the lcm of its entries' reduced denominators;
-a `LinearMap` built from integers (a draw, an inverse, a composition, a
-kernel map) holds exactly that lift of its columns, and a transported
-`SkewAlgebra` that lift of its constants (see `algebra.LinearMap` and
-`algebra.SkewAlgebra`), so their consumers read it instead of lifting.
+matrix by one denominator, the lcm of its entries' reduced denominators,
+and `_canonical` brings integers over any denominator to that same lift.
+Every `LinearMap` and `SkewAlgebra` holds that lift of its columns or
+constants from construction (see `algebra`), so consumers read it
+instead of lifting.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 from typing import Union
 
 from .errors import FieldMismatchError, ReductionError
@@ -198,6 +199,22 @@ def _lift_rows(field: Field, rows) -> tuple[list, int]:
     ints, d = field.lift([x for row in rows for x in row])
     n = len(ints) // len(rows) if rows else 0
     return [ints[k * n : (k + 1) * n] for k in range(len(rows))], d
+
+
+def _canonical(field: Field, vecs, d: int = 1) -> tuple[tuple, int]:
+    """(ints, d): integer vectors over a positive denominator d (1 over
+    F_p) made the canonical lift of their values, as tuples: the residues
+    and d = 1 over F_p; over Q ints and d divided by gcd(d, every entry),
+    which is the lift `_lift_rows` gives (d the lcm of the reduced
+    denominators)."""
+    p = field.p
+    if p:
+        return tuple(tuple(x % p for x in vec) for vec in vecs), 1
+    vecs = tuple(map(tuple, vecs))
+    g = gcd(d, *chain.from_iterable(vecs)) if d != 1 else 1
+    if g != 1:
+        vecs, d = tuple(tuple(x // g for x in vec) for vec in vecs), d // g
+    return vecs, d
 
 
 def _unlift(field: Field, ints, d: int = 1) -> list:

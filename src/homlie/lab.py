@@ -93,13 +93,11 @@ def invariance_battery(A: SkewAlgebra, trials: int, seed: int) -> bool:
     Draws `trials` random invertible maps g; for each, the transported
     algebra must have the same nullity, and g o f o g^-1 must stay in the
     transported kernel for every canonical kernel basis map f. Each g is
-    inverted once, by its draw's invertibility test, and is built with its
-    inverse from their integer lifts (see `LinearMap`); `transport` and
-    the conjugation below read those lifts. The transported algebra keeps
-    the lift `transport` computes, which `build_matrix` reads, and the
-    base kernel maps are built from the lifts of `kernel_basis`, which
-    the conjugation reads, so no trial makes a `Fraction`. The map tested
-    is the integer product G·F·H of the lifts of g, f and g^-1: a nonzero integer
+    inverted once, by its draw's invertibility test, and keeps its
+    inverse. Every algebra and map holds its integer lift (see
+    `SkewAlgebra`), which `transport`, `build_matrix` and the conjugation
+    read, so no trial makes a `Fraction`. The map tested is the integer
+    product G·F·H of the lifts of g, f and g^-1: a nonzero integer
     multiple of g o f o g^-1, which is in the kernel exactly when
     g o f o g^-1 is, built from those integers (residues mod p over F_p)
     with no check. It is formed from F's nonzero entries a_pq: column q of

@@ -11,8 +11,9 @@ column: rank and a trivial kernel take no more and never back-substitute,
 and `rref` back-substitutes its at most ncols pivot rows afterwards (the
 RREF depends only on the row space). The kernel core `_kernel` and the
 inverse core `_inverse` work on integer rows and return their results
-lifted, for callers that hold integers; `nullspace` and `inverse` are
-their field values. Every determinant is the Bareiss
+lifted, for callers that hold integers; `nullspace` is the kernel's field
+values, and `algebra.LinearMap.inverse` builds a map from the inverse's
+lift. Every determinant is the Bareiss
 determinant of the integer lift, `det_bareiss_int`: it is exact over Z,
 so over F_p the integer determinant of the residues, reduced mod p, is
 the determinant.
@@ -179,18 +180,6 @@ def _inverse(rows: list, d: int, p: int) -> tuple[list, int]:
     # piv / gcd(row), and e is the lcm of those
     e = lcm(*(row[k] // gcd(*row) for k, row in enumerate(red)))
     return [[x * e // row[k] for x in row[n:]] for k, row in enumerate(red)], e
-
-
-def inverse(field: Field, mat: list) -> list:
-    """Inverse via Gauss-Jordan: the field values of `_inverse` on mat's
-    integer lift."""
-    n = len(mat)
-    if any(len(r) != n for r in mat):
-        raise ShapeError("inverse needs a square matrix")
-    field.check(mat)
-    rows, d = _lift_rows(field, mat)
-    ints, e = _inverse(rows, d, field.p)
-    return [_unlift(field, row, e) for row in ints]
 
 
 def det_bareiss_int(mat: list) -> int:

@@ -23,15 +23,15 @@ kernel. Twisting maps of a given shape only select unknowns:
 `restrict_columns` returns the HomJacobiMatrix of the chosen columns, and
 `rank`, `nullity` and `kernel_basis` serve it like the full matrix.
 
-`build_matrix` only checks the size and lifts the constants; the matrix
+`build_matrix` only checks the size and reads the algebra's lift; the matrix
 computes its rows lazily, the n rows of one triple at a time, and keeps
 them. The rows of a triple need the blocks mu(mu(e_u,e_v), e_p) of its
 three pairs. Each block is computed on first use from the n - 1 stored
 pairs that contain p, and kept in a block table that every restriction of
-the matrix shares. Over Q the constants are lifted to integers by their
-common denominator d (a transported algebra hands over the lift it
-keeps); M is quadratic in them, so the rows are the integers d^2 M, which
-rank, kernel, membership and the determinant read.
+the matrix shares. Over Q the algebra's lift is its constants as integers
+over their common denominator d; M is quadratic in them, so the rows are
+the integers d^2 M, which rank, kernel, membership and the determinant
+read.
 `int_rows` assembles the kept rows in the frozen order on first read, and
 `rows` makes `Fraction`s from them only when read. `rank` and
 `kernel_basis` stream the triples, the n cyclic triples first, through one
@@ -57,8 +57,7 @@ from operator import mul
 
 from . import linalg
 
-from .algebra import (MAX_ENTRIES, LinearMap, SkewAlgebra, _check_same_space, _lift_constants,
-                      _position)
+from .algebra import MAX_ENTRIES, LinearMap, SkewAlgebra, _check_same_space, _position
 from .errors import ShapeError
 from .field import Field, Scalar, _unlift
 
@@ -228,14 +227,14 @@ def build_matrix(A: SkewAlgebra) -> HomJacobiMatrix:
     """The Hom-Jacobi matrix of an algebra, with no row computed yet.
 
     For n < 3 there are no triples and the matrix has zero rows (every
-    endomorphism is a twisting map). Over Q the structure constants are
-    lifted by their common denominator d, so the rows, computed per triple
-    when first read, are the integers d^2 M. Raises ShapeError above
+    endomorphism is a twisting map). Over Q the algebra's lift holds the
+    structure constants as integers over their common denominator d, so
+    the rows, computed per triple when first read, are the integers d^2 M. Raises ShapeError above
     MAX_ENTRIES entries.
     """
     n = A.dim
     check_size(n)
-    C, d = _lift_constants(A)
+    C, d = A.lift()
     support = tuple((p, q) for q in range(1, n + 1) for p in range(1, n + 1))
     return HomJacobiMatrix(n, A.field, _Blocks(n, A.field, C), d * d, support)
 

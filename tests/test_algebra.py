@@ -19,8 +19,7 @@ from homlie import (
     random_linear_map,
     rng,
 )
-from homlie.algebra import (DEFAULT_BOUND, MAX_ENTRIES, _lift_constants, _scalar_draw,
-                            check_transport_size)
+from homlie.algebra import DEFAULT_BOUND, MAX_ENTRIES, _scalar_draw, check_transport_size
 from homlie.field import QQ, _lift_rows, _unlift
 from oracles import mat_vec as oracle_mat_vec, rank_det_modp, rank_fraction
 
@@ -255,7 +254,7 @@ def test_invertible_draw_matches_the_rank_tested_loop(monkeypatch):
     ranks none, and its map returns the inverse of its columns with no
     further elimination. F_2 and F_3 reject often, so the singular path
     runs too."""
-    original_inverse, original_rank = homlie.linalg.inverse, homlie.linalg.rank
+    original_rank = homlie.linalg.rank
     original_core = homlie.linalg._inverse
     calls = []
 
@@ -284,18 +283,19 @@ def test_invertible_draw_matches_the_rank_tested_loop(monkeypatch):
                 assert g.inverse() is inv and calls == [], (fld, n, seed)
                 monkeypatch.undo()
                 assert g == want and g.columns == want.columns, (fld, n, seed)
-                assert inv == LinearMap(n, fld, original_inverse(fld, g.columns))
+                assert inv == LinearMap(n, fld, g.columns).inverse()
                 assert g.compose(inv) == inv.compose(g) == identity[n]
     assert rejected > 100
 
 
 def test_built_maps_keep_no_inverse(qq, f7):
-    # a map built by a caller computes a fresh inverse and lift on each
-    # call and keeps neither; equality ignores a drawn map's kept inverse
+    # a map built by a caller keeps the lift made at construction, but
+    # computes a fresh inverse on each call and keeps none; equality
+    # ignores a drawn map's kept inverse
     f = LinearMap(2, qq, [[Fraction(1, 2), 1], [1, 1]])
     assert f.inverse() == f.inverse() and f.inverse() is not f.inverse()
-    assert f.lift() == f.lift() == (((1, 2), (2, 2)), 2) and f.lift() is not f.lift()
-    assert f._inverse is None and f._lift is None
+    assert f.lift() == (((1, 2), (2, 2)), 2) and f.lift() is f.lift()
+    assert f._inverse is None
     g = random_invertible_map(3, f7, seed=7)
     assert g == LinearMap(3, f7, g.columns) and g._inverse is not None
     with pytest.raises(AttributeError):
@@ -307,6 +307,21 @@ def test_built_maps_keep_no_inverse(qq, f7):
 LIFT_FIELDS = [QQ] + [PrimeField(p) for p in (2, 3, 10007, 2**61 - 1)]
 LIFT_FIELD_IDS = ["QQ", "F2", "F3", "F10007", "F2^61-1"]
 BIG = 2**130
+
+
+def _assert_canonical(fld, lift, values):
+    """lift is the canonical lift of values (columns, or the constants of
+    the nonzero pairs): residues and d = 1 over F_p, gcd(d, ints) = 1 over
+    Q, and equal to `_lift_rows` of the values as tuples."""
+    assert lift is not None
+    ints, d = lift
+    vecs = list(ints.values()) if isinstance(ints, dict) else list(ints)
+    if fld.p:
+        assert d == 1 and all(0 <= x < fld.p for vec in vecs for x in vec)
+    else:
+        assert d >= 1 and gcd(d, *chain.from_iterable(vecs)) == 1
+    rows, e = _lift_rows(fld, list(values))
+    assert (vecs, d) == ([tuple(row) for row in rows], e)
 
 
 @st.composite
@@ -331,27 +346,32 @@ def _lifted_matrices(draw, fld):
 @given(data=st.data())
 def test_maps_from_integers_equal_maps_from_values(fld, data):
     """A map built from integers equals the map built from its values,
-    with the same columns and flattening, and its lift is the canonical
-    one `_lift_rows` gives for those values; the map built from a
-    value-built map's lift equals it too."""
+    with the same columns and flattening. Every constructor path (values,
+    `from_flat`, integers) holds from construction the canonical lift
+    `_lift_rows` gives for those values, and the map built from that lift
+    equals it."""
     n, ints, d, values = data.draw(_lifted_matrices(fld))
     m, v = LinearMap._from_ints(fld, ints, d), LinearMap(n, fld, values)
-    assert m == v and v == m and m.dim == v.dim == n
+    flat = LinearMap.from_flat(n, fld, [x for col in values for x in col])
+    assert m == v and v == m and flat == v and m.dim == v.dim == n
+    for x in (m, v, flat):
+        _assert_canonical(fld, x._lift, v.columns)
+        assert x.lift() is x._lift
     assert m.columns == v.columns and m.flatten() == v.flatten()
-    rows, e = _lift_rows(fld, v.columns)
-    assert m.lift() == v.lift() == (tuple(map(tuple, rows)), e)
-    back = LinearMap._from_ints(fld, *v.lift())
-    assert back == v and v == back and back.columns == v.columns
+    assert m.lift() == v.lift() == flat.lift()
+    for x in (m, v):
+        back = LinearMap._from_ints(fld, *x.lift())
+        assert back == x and x == back and back.columns == v.columns
 
 
 @pytest.mark.parametrize("fld", LIFT_FIELDS, ids=LIFT_FIELD_IDS)
 @settings(max_examples=40)
 @given(data=st.data(), singular=st.booleans(), c=st.integers(-2, 2))
 def test_lifted_inverse_is_the_canonical_lift_of_the_inverse(fld, data, singular, c):
-    """linalg._inverse returns the canonical lift of the values
-    linalg.inverse returns, and those invert the matrix; a singular
-    matrix, decided by an oracle rank, raises SingularMatrixError on both
-    paths and in LinearMap.inverse. A singular draw makes the last row c
+    """linalg._inverse returns a canonical lift, whose values invert the
+    matrix (an oracle product), and LinearMap.inverse builds that inverse;
+    a singular matrix, decided by an oracle rank, raises
+    SingularMatrixError in both. A singular draw makes the last row c
     times the first."""
     n, ints, d, values = data.draw(_lifted_matrices(fld))
     if singular and n:
@@ -359,14 +379,12 @@ def test_lifted_inverse_is_the_canonical_lift_of_the_inverse(fld, data, singular
         values[-1] = [c * x for x in values[0]]
     p, f = fld.p, LinearMap(n, fld, values)
     if (rank_det_modp(ints, p)[0] if p else rank_fraction(ints)) < n:
-        for invert in (lambda: homlie.linalg._inverse(ints, d, p),
-                       lambda: homlie.linalg.inverse(fld, values), f.inverse):
+        for invert in (lambda: homlie.linalg._inverse(ints, d, p), f.inverse):
             with pytest.raises(SingularMatrixError):
                 invert()
         return
     lifted, e = homlie.linalg._inverse(ints, d, p)
-    inv = homlie.linalg.inverse(fld, values)
-    assert [_unlift(fld, row, e) for row in lifted] == inv
+    inv = [_unlift(fld, row, e) for row in lifted]
     assert (lifted, e) == _lift_rows(fld, inv)
     for col in range(n):
         assert oracle_mat_vec(values, [row[col] for row in inv], p) == [int(r == col) for r in range(n)]
@@ -377,11 +395,12 @@ def test_lifted_inverse_is_the_canonical_lift_of_the_inverse(fld, data, singular
 @settings(max_examples=40)
 @given(data=st.data())
 def test_algebras_from_integers_keep_the_canonical_lift(fld, data):
-    """An algebra built from integers drops the pairs whose constants are
-    zero and keeps the canonical lift: residues over F_p, and over Q the
-    lift reduced so that gcd(d, ints) = 1, the one `_lift_rows` gives for
-    its values. It equals the algebra built from those values, with the
-    same constants, and the algebra built from that one's lift equals it."""
+    """An algebra built from integers equals the algebras built from its
+    values by the constructor and by `make_algebra`, with the same
+    constants. Every path drops the pairs whose constants are zero and
+    holds from construction the canonical lift: residues over F_p, and
+    over Q the lift reduced so that gcd(d, ints) = 1, the one `_lift_rows`
+    gives for the values. The algebra built from that lift equals it."""
     p = fld.p
     n = data.draw(st.integers(1, 5))
     entry = st.integers(-BIG, BIG) | st.integers(-2, 2)
@@ -393,17 +412,16 @@ def test_algebras_from_integers_keep_the_canonical_lift(fld, data):
         k = data.draw(st.integers(1, 2**20))
         C, d = {pair: [k * x for x in vec] for pair, vec in C.items()}, k * data.draw(st.integers(1, BIG))
     A = SkewAlgebra._from_ints(n, fld, C, d)
-    twin = make_algebra(n, fld, [(i, j, [x if p else Fraction(x, d) for x in vec])
-                                 for (i, j), vec in C.items()])
-    assert A == twin and twin == A and A.constants == twin.constants
-    ints, e = _lift_constants(A)
+    values = {pair: [x if p else Fraction(x, d) for x in vec] for pair, vec in C.items()}
+    twin = make_algebra(n, fld, [(i, j, vec) for (i, j), vec in values.items()])
+    built = SkewAlgebra(n, fld, values)
+    assert A == twin and twin == A and built == A and A.constants == twin.constants == built.constants
+    ints, e = A.lift()
     assert set(ints) == {pair for pair, vec in C.items() if any(x % p if p else x for x in vec)}
-    if p:
-        assert e == 1 and all(0 <= x < p for vec in ints.values() for x in vec)
-    else:
-        assert A._lift is not None and gcd(e, *chain.from_iterable(ints.values())) == 1
-    assert (ints, e) == _lift_constants(twin)
-    assert SkewAlgebra._from_ints(n, fld, *_lift_constants(twin)) == twin
+    for x in (A, twin, built):
+        assert list(x.lift()[0]) == list(ints) and x.lift() is x._lift
+        _assert_canonical(fld, x._lift, twin.constants.values())
+        assert SkewAlgebra._from_ints(n, fld, *x.lift()) == x
 
 
 def test_random_algebra_fills_prime_residues(fp):
@@ -439,6 +457,21 @@ def test_linear_map_stores_canonical_residues(f7, qq):
     assert LinearMap(2, f7, [[-1, 0], [0, 1]]).flatten() == [6, 0, 0, 1]
     # over Q the entries are kept as given
     assert LinearMap(2, qq, [[-1, Fraction(1, 2)], [0, 1]]).flatten() == [-1, Fraction(1, 2), 0, 1]
+
+
+def test_algebra_constructor_stores_canonical_constants(f7, qq):
+    from homlie import files
+
+    A = SkewAlgebra(3, f7, {(1, 2): (8, 0, 0)})
+    assert A == make_algebra(3, f7, [(1, 2, (1, 0, 0))]) and A.lift() == ({(1, 2): (1, 0, 0)}, 1)
+    assert files.algebra_to_obj(A)["products"][0]["coeffs"] == ["1", "0", "0"]
+    assert SkewAlgebra(3, qq, {(1, 2): (0, 0, 0)}) == SkewAlgebra(3, qq, {})
+    assert SkewAlgebra(3, f7, {(1, 2): (7, 14, 0)}).constants == {}
+    B = SkewAlgebra(3, qq, {(1, 2): (Fraction(1, 2), Fraction(1, 3), 0)})
+    assert B.lift() == ({(1, 2): (3, 2, 0)}, 6)
+    for field, bad in ((qq, 0.5), (qq, True), (f7, Fraction(1, 2)), (f7, 3.0)):
+        with pytest.raises(FieldMismatchError):
+            SkewAlgebra(3, field, {(1, 2): (bad, 0, 0)})
 
 
 def test_linear_map_validates_shape(qq):

@@ -33,7 +33,6 @@ from homlie import (
     restrict_columns,
     rng,
 )
-from homlie.algebra import _lift_constants
 from homlie.lab import catalog
 
 from oracles import (det_fraction, hom_jacobi_rows, mat_vec, nullspace_fraction, rank_fraction,
@@ -121,12 +120,12 @@ def test_moved_algebras_keep_the_canonical_lift(data):
                               for q in range(n)])
     moved = A.transport(g)
     oracle = _oracle_transport(A, g)
-    ints, d = _lift_constants(moved)
+    ints, d = moved.lift()
     assert moved._lift is not None and set(ints) == set(oracle)
     assert all(any(vec) for vec in ints.values())
     assert gcd(d, *chain.from_iterable(ints.values())) == 1
     twin = make_algebra(n, QQ, [(i, j, vec) for (i, j), vec in oracle.items()])
-    assert moved == twin and twin == moved and (ints, d) == _lift_constants(twin)
+    assert moved == twin and twin == moved and (ints, d) == twin.lift()
     assert moved.constants == oracle
 
 

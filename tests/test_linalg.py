@@ -6,6 +6,7 @@ import pytest
 
 from homlie import (
     FieldMismatchError,
+    LinearMap,
     PrimeField,
     ShapeError,
     SingularMatrixError,
@@ -17,7 +18,7 @@ from homlie import (
     reduce_mod,
     rng,
 )
-from homlie.field import QQ
+from homlie.field import QQ, _unlift
 from homlie import linalg
 
 from oracles import det_cofactor_modp, det_naive, rank_det_modp, rank_fraction
@@ -134,7 +135,8 @@ def test_inverse_round_trip():
                 rows = [[field.element(x) for x in r] for r in m]
                 if linalg.rank(field, rows) == n:
                     break
-            inv = linalg.inverse(field, rows)
+            lifted, e = linalg._inverse(m, 1, field.p)
+            inv = [_unlift(field, row, e) for row in lifted]
             for c in range(n):
                 column = [row[c] for row in inv]
                 assert oracle_mat_vec(rows, column, field.p) == [int(r == c) for r in range(n)]
@@ -142,7 +144,9 @@ def test_inverse_round_trip():
 
 def test_inverse_of_singular_raises():
     with pytest.raises(SingularMatrixError):
-        linalg.inverse(QQ, [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
+        linalg._inverse([[1, 2], [2, 4]], 1, 0)
+    with pytest.raises(SingularMatrixError):
+        LinearMap(2, QQ, [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]).inverse()
 
 
 def test_known_leaks_are_rejected():
@@ -168,7 +172,7 @@ def test_every_entry_point_checks_its_scalars(field, bad):
         lambda: linalg.rref(field, mat),
         lambda: linalg.nullspace(field, mat, 2),
         lambda: linalg.det(field, mat),
-        lambda: linalg.inverse(field, mat),
+        lambda: LinearMap(2, field, mat).inverse(),
         lambda: linalg.mat_vec(field, mat, [one, one]),
         lambda: linalg.mat_vec(field, [[one, one]], [one, bad]),
     ]
@@ -184,7 +188,8 @@ def test_rational_int_matrices_stay_exact():
     assert red == [[1, 0, 8], [0, 1, -5]]
     basis = linalg.nullspace(QQ, rows, 3)
     assert basis == [[-8, 5, 1]]
-    inv = linalg.inverse(QQ, [[2, 3], [4, 5]])
+    lifted, e = linalg._inverse([[2, 3], [4, 5]], 1, 0)
+    inv = [_unlift(QQ, row, e) for row in lifted]
     assert inv == [[Fraction(-5, 2), Fraction(3, 2)], [2, -1]]
     for x in (x for m in (red, basis, inv) for row in m for x in row):
         assert type(x) in (int, Fraction)
